@@ -3,7 +3,8 @@
 Free modules of finite and countable type, chain complexes graded over
 all the integers, sampled law checking, reductions and effective
 homology, the mapping cone with its reduction, and a Smith normal form
-engine for homology groups of finite-type complexes.
+engine with a transform-free invariant-factor path for homology groups of
+finite-type complexes.
 """
 
 from .complexes import (
@@ -89,6 +90,6 @@ from .reduction import (
     zero_homotopy,
 )
 from .sampling import Sampler
-from .snf import IntMatrix, SNFResult, smith_normal_form
+from .snf import IntMatrix, SNFResult, invariant_factors, smith_normal_form
 
 __version__ = "0.1.0"

@@ -103,6 +103,12 @@ def _parse_range(text: str) -> range:
 def _sampler(args) -> Sampler:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.coeff_bound < 1:
+        raise UsageError("--coeff-bound must be at least 1")
+    if args.support < 1:
+        raise UsageError("--support must be at least 1")
+    if args.max_gen < 0:
+        raise UsageError("--max-gen must be at least 0")
     return Sampler(
         seed=args.seed,
         samples=args.samples,

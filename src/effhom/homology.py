@@ -1,18 +1,21 @@
-"""Homology groups of finite-type complexes by integer diagonalization.
+"""Homology groups of finite-type complexes from ranks and invariant factors.
 
-The group at degree i is ker d(i-1) / im d(i).  The kernel basis comes
-from the Smith normal form of the incoming matrix, the outgoing matrix is
-rewritten in kernel coordinates (an exact unimodular solve), and a second
-normal form of that induced matrix yields the free rank and the torsion.
-For a complex that reduces onto a finite-type bottom, the homology of the
-top *is* the homology of the bottom: that transfer is the whole point of
-an effective homology.
+The group at degree i is ker d(i-1) / im d(i), with n_i generators in
+degree i.  Its free rank is n_i - rank d(i-1) - rank d(i).  Its torsion
+is the torsion of coker d(i) = C_i / im d(i), which the invariant factors
+of d(i) greater than one give: the homology sits inside coker d(i) with
+quotient C_i / ker d(i-1), which embeds in the free C_(i-1), so the two
+share their torsion and no basis of the kernel is ever needed.  Both
+matrices go through ``invariant_factors`` only, and their product checks
+exactly that d(i-1) d(i) = 0.  For a complex that reduces onto a
+finite-type bottom, the homology of the top *is* the homology of the
+bottom: that transfer is the whole point of an effective homology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
@@ -26,7 +29,7 @@ from .modules import (
     generator,
 )
 from .reduction import EffectiveHomology
-from .snf import IntMatrix, smith_normal_form
+from .snf import IntMatrix, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,10 @@ def element_coordinates(element: Element, desc: FreeModule) -> list[int]:
     """Dense coordinates of a member of a finite-type module."""
     if isinstance(desc, FiniteFree):
         assert isinstance(element, Comb)
-        return [element.coefficient(i) for i in range(desc.rank)]
+        coords = [0] * desc.rank
+        for g, c in element.terms:
+            coords[g] = c
+        return coords
     if isinstance(desc, DirectSum):
         assert isinstance(element, Pair)
         coords = element_coordinates(element.left, desc.left)
@@ -109,9 +115,9 @@ def differential_matrix(cc: ChainComplex, i: int) -> IntMatrix:
     target = cc.module_at(i)
     d = cc.diff_at(i)
     columns = [element_coordinates(d(b), target) for b in enumerate_basis(source)]
-    rows_n, cols_n = module_rank(target), module_rank(source)
-    rows = [[columns[j][r] for j in range(cols_n)] for r in range(rows_n)]
-    return IntMatrix.from_rows(rows, rows_n, cols_n)
+    # zip(*columns) reads the rows; with no rows or no columns it is empty
+    entries = tuple(chain.from_iterable(zip(*columns)))
+    return IntMatrix(module_rank(target), module_rank(source), entries)
 
 
 def homology_at(cc: ChainComplex, i: int) -> HomologyGroup:
@@ -124,21 +130,11 @@ def homology_at(cc: ChainComplex, i: int) -> HomologyGroup:
             )
     incoming = differential_matrix(cc, i - 1)
     outgoing = differential_matrix(cc, i)
-    snf_in = smith_normal_form(incoming)
-    rank_in = len(snf_in.invariant_factors)
-    nullity = incoming.cols - rank_in
-    # Rewrite the outgoing image in the kernel basis: the last `nullity`
-    # columns of V span ker d(i-1).
-    w = _solve_unimodular(snf_in.V, outgoing)
-    for r in range(rank_in):
-        if any(w[r]):
-            raise HomAlgError(
-                f"differentials do not compose to zero around degree {i}"
-            )
-    induced = IntMatrix.from_rows(w[rank_in:], nullity, outgoing.cols)
-    factors = smith_normal_form(induced).invariant_factors
+    if any((incoming @ outgoing).entries):
+        raise HomAlgError(f"differentials do not compose to zero around degree {i}")
+    factors = invariant_factors(outgoing)
     return HomologyGroup(
-        betti_rank=nullity - len(factors),
+        betti_rank=incoming.cols - len(invariant_factors(incoming)) - len(factors),
         torsion=tuple(f for f in factors if f > 1),
     )
 
@@ -146,35 +142,3 @@ def homology_at(cc: ChainComplex, i: int) -> HomologyGroup:
 def homology_via_effective_homology(eh: EffectiveHomology, i: int) -> HomologyGroup:
     """Homology of the top complex, computed on the finite-type bottom."""
     return homology_at(eh.reduction.bottom, i)
-
-
-def _solve_unimodular(v: IntMatrix, b: IntMatrix) -> list[list[int]]:
-    """Solve V * W = B exactly; V unimodular guarantees an integer W."""
-    n = v.rows
-    if b.rows != n:
-        raise ValueError("shapes do not match")
-    aug = [
-        [Fraction(x) for x in v.row(i)] + [Fraction(x) for x in b.row(i)]
-        for i in range(n)
-    ]
-    width = n + b.cols
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                row = aug[r]
-                aug[r] = [row[k] - f * aug[col][k] for k in range(width)]
-    out = []
-    for r in range(n):
-        row = []
-        for k in range(b.cols):
-            value = aug[r][n + k]
-            if value.denominator != 1:
-                raise HomAlgError("unimodular solve produced a non-integer")
-            row.append(int(value))
-        out.append(row)
-    return out

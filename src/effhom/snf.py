@@ -1,22 +1,32 @@
-"""Smith normal form of integer matrices, exactly.
+"""Smith normal form and invariant factors of integer matrices, exactly.
 
-``smith_normal_form`` returns unimodular U (rows x rows) and V (cols x
-cols) with U * A * V = D diagonal, the nonzero diagonal entries positive
-and forming a divisibility chain d1 | d2 | ...  Entries are Python
-integers throughout: intermediate values can exceed any machine word even
-on small inputs, so nothing here ever touches floating point or fixed
-width arithmetic.
+``invariant_factors`` returns the nonzero diagonal of the Smith normal
+form, d1 | d2 | ..., and tracks no transforms.  It first takes every
++-1 pivot by sparse row elimination: pivoting on a unit entry and
+clearing its column leaves the Schur complement, and the pivot adds a
+factor 1.  Boundary matrices of cell complexes are sparse with +-1
+entries, so this leaves a tiny dense remainder, or none (the approach of
+sparse integer SNF, Dumas-Saunders-Villard 2001).
 
-The elimination picks the entry of smallest absolute value in the working
-submatrix as pivot and clears its row and column with Euclidean steps,
-restarting whenever a remainder swap produced a smaller pivot; this keeps
-coefficient growth modest.  Before the pivot is frozen it must also
-divide the rest of the submatrix, which a single row addition repairs,
-and that is exactly what makes the diagonal a divisibility chain.
+``smith_normal_form`` also returns unimodular U (rows x rows) and V
+(cols x cols) with U * A * V = D.  It runs the same dense elimination on
+A bordered by identity blocks, so that the row and column operations on
+A are recorded in U and V as they happen.
+
+The dense elimination picks the entry of smallest absolute value in the
+working submatrix as pivot and clears its row and column with Euclidean
+steps, restarting whenever a remainder swap produced a smaller pivot;
+this keeps coefficient growth modest.  Before the pivot is frozen it must
+also divide the rest of the submatrix, which a single row addition
+repairs, and that is exactly what makes the diagonal a divisibility
+chain.  Entries are Python integers throughout: intermediate values can
+exceed any machine word even on small inputs, so nothing here ever
+touches floating point or fixed width arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,14 +75,20 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not compose")
+        n = other.cols
+        right = [
+            [(j, x) for j, x in enumerate(other.row(k)) if x]
+            for k in range(other.rows)
+        ]
         out = []
         for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(left[k] * other.entry(k, j) for k in range(self.cols))
-                )
-        return IntMatrix(self.rows, other.cols, tuple(out))
+            acc = [0] * n
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.extend(acc)
+        return IntMatrix(self.rows, n, tuple(out))
 
     def is_diagonal(self) -> bool:
         return all(
@@ -98,36 +114,110 @@ class SNFResult:
 
 def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     m, n = matrix.rows, matrix.cols
-    d = matrix.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    # [[A, I_m], [I_n, 0]]: row operations on A reach U in the top right,
+    # column operations on A reach V in the bottom left.
+    bordered = [
+        list(matrix.row(i)) + [int(i == k) for k in range(m)] for i in range(m)
+    ]
+    bordered.extend([int(i == j) for j in range(n)] + [0] * m for i in range(n))
+    factors = _diagonalize(bordered, m, n)
+    return SNFResult(
+        U=IntMatrix.from_rows((row[n:] for row in bordered[:m]), m, m),
+        V=IntMatrix.from_rows((row[:n] for row in bordered[m:]), n, n),
+        D=IntMatrix.from_rows((row[:n] for row in bordered[:m]), m, n),
+        invariant_factors=factors,
+    )
+
+
+def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
+    """The nonzero diagonal of the Smith normal form, without transforms."""
+    rows = {}
+    for i in range(matrix.rows):
+        row = {j: x for j, x in enumerate(matrix.row(i)) if x}
+        if row:
+            rows[i] = row
+    units = _eliminate_unit_pivots(rows)
+    columns = sorted({j for row in rows.values() for j in row})
+    remainder = [[row.get(j, 0) for j in columns] for row in rows.values()]
+    return (1,) * units + _diagonalize(remainder, len(remainder), len(columns))
+
+
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+    """Take every +-1 pivot out of the sparse rows in place; return how many.
+
+    A pivot at (p, c) clears column c from the other rows, after which row
+    p and column c split off as a block of their own.  Rows are visited
+    shortest first, and each takes its unit entry in the shortest column,
+    which keeps the fill low; passes repeat until one finds no unit entry.
+    """
+    where = defaultdict(set)  # column -> rows with a nonzero entry there
+    for i, row in rows.items():
+        for j in row:
+            where[j].add(i)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for p in sorted(rows, key=lambda i: len(rows[i])):
+            pivot_row = rows.get(p)
+            if pivot_row is None:
+                continue
+            candidates = [j for j, x in pivot_row.items() if x == 1 or x == -1]
+            if not candidates:
+                continue
+            found = True
+            units += 1
+            c = min(candidates, key=lambda j: len(where[j]))
+            del rows[p]
+            for j in pivot_row:
+                where[j].discard(p)
+            pivot = pivot_row.pop(c)
+            for i in where.pop(c):
+                row = rows[i]
+                q = row.pop(c) * pivot  # row[c] / pivot, as pivot is +-1
+                for j, x in pivot_row.items():
+                    value = row.get(j, 0) - q * x
+                    if value:
+                        if j not in row:
+                            where[j].add(i)
+                        row[j] = value
+                    elif j in row:
+                        del row[j]
+                        where[j].discard(i)
+                if not row:
+                    del rows[i]
+    return units
+
+
+def _diagonalize(d: list[list[int]], m: int, n: int) -> tuple[int, ...]:
+    """Bring the leading m x n block of ``d`` to Smith form in place.
+
+    Row operations act on whole rows and column operations on whole
+    columns, so whatever ``d`` holds right of or below the block records
+    them; the pivot search and every test look only inside the block.
+    Returns the invariant factors.
+    """
 
     def swap_rows(a, b):
         if a != b:
             d[a], d[b] = d[b], d[a]
-            u[a], u[b] = u[b], u[a]
 
     def swap_cols(a, b):
         if a != b:
             for row in d:
                 row[a], row[b] = row[b], row[a]
-            for row in v:
-                row[a], row[b] = row[b], row[a]
 
     def add_row(dst, src, q):
-        # row dst += q * row src, on D and U alike
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            drow[j] += q * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(m):
-            urow[j] += q * usrc[j]
+        # row dst += q * row src
+        drow = d[dst]
+        for j, x in enumerate(d[src]):
+            if x:
+                drow[j] += q * x
 
     def add_col(dst, src, q):
         for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
 
     t = 0
     limit = min(m, n)
@@ -184,12 +274,4 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     for i in range(limit):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-
-    factors = tuple(d[i][i] for i in range(limit) if d[i][i])
-    return SNFResult(
-        U=IntMatrix.from_rows(u, m, m),
-        V=IntMatrix.from_rows(v, n, n),
-        D=IntMatrix.from_rows(d, m, n),
-        invariant_factors=factors,
-    )
+    return tuple(d[i][i] for i in range(limit) if d[i][i])

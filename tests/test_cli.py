@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from effhom.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -209,6 +211,17 @@ class TestUsageErrors:
     def test_bad_law(self, capsys):
         code, _, err = run_cli(capsys, "check", "cc1", "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option, value, bound",
+        [("--coeff-bound", "0", 1), ("--support", "0", 1), ("--max-gen", "-1", 0)],
+    )
+    def test_sampler_bounds(self, capsys, option, value, bound):
+        # --max-gen -1 would otherwise pass vacuously on all-zero samples
+        code, out, err = run_cli(capsys, "check", "cc2", "nilpotency", option, value)
+        assert code == 2
+        assert f"{option} must be at least {bound}" in err
+        assert out == ""
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)

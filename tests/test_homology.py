@@ -8,7 +8,14 @@ Expected groups are frozen from hand kernel/image computations:
   so there are no cycles at all;
 * the cone of an identity morphism is acyclic, and its homology must agree
   with the contracting homotopy produced for it.
+* the known-answer complexes below are cell structures written out by
+  hand (the torus, the Klein bottle and the projective plane as two
+  triangles on a square with its edges glued, the boundary of the
+  6-simplex) or a diagonal map, whose groups are textbook facts.
 """
+
+import random
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +25,9 @@ from effhom import (
     Z,
     Comb,
     DirectSum,
+    ChainComplex,
     FiniteFree,
+    HomAlgError,
     HomologyGroup,
     IntMatrix,
     NotFiniteTypeError,
@@ -26,9 +35,12 @@ from effhom import (
     differential_matrix,
     direct_sum_complex,
     enumerate_basis,
+    from_generator_images,
     homology_at,
     homology_via_effective_homology,
     module_rank,
+    normalize,
+    zero_map,
 )
 from effhom.instances import (
     cc2,
@@ -146,3 +158,104 @@ class TestBasisOrderInvariance:
         right = direct_sum_complex(fcc1(), direct_sum_complex(bottom, fcc1()))
         for i in range(-2, 3):
             assert homology_at(left, i) == homology_at(right, i), i
+
+
+def finite_complex(ranks, matrices):
+    """Complex with ``ranks[k]`` generators in degree k, zero elsewhere.
+
+    ``matrices[k]`` lists the rows of d(k): C_(k+1) -> C_k, so column j is
+    the image of the j-th generator of degree k + 1.
+    """
+
+    def module(i):
+        return FiniteFree(ranks[i] if 0 <= i < len(ranks) else 0)
+
+    def diff(i):
+        source, target = module(i + 1), module(i)
+        if not 0 <= i < len(matrices):
+            return zero_map(source, target)
+        rows = matrices[i]
+        return from_generator_images(
+            source,
+            target,
+            lambda j: normalize([(row[j], r) for r, row in enumerate(rows)], target),
+        )
+
+    return ChainComplex(module, diff, declared_finite_type=True)
+
+
+def groups(cc, degrees):
+    return [homology_at(cc, i) for i in degrees]
+
+
+# A square with corners P0 P1 P2 P3 (counter-clockwise) cut along the
+# diagonal c = P0P2 into the triangles L = [P0, P1, P2] and U = [P0, P3, P2].
+# Edges: a = P0P1 (bottom), b = P1P2 (right); the top and left edges are
+# glued to a and b according to the surface.  Rows of d(1) are a, b, c and
+# its columns L, U.
+
+
+class TestKnownAnswers:
+    def test_torus(self):
+        # top = a, left = b: all corners are one vertex, dL = dU = a + b - c
+        torus = finite_complex([1, 3, 2], [[[0, 0, 0]], [[1, 1], [1, 1], [-1, -1]]])
+        assert groups(torus, range(-1, 4)) == [
+            TRIVIAL, HomologyGroup(1), HomologyGroup(2), HomologyGroup(1), TRIVIAL,
+        ]
+
+    def test_klein_bottle(self):
+        # top = -a (reversed), left = b: dL = a + b - c, dU = -a + b - c
+        klein = finite_complex([1, 3, 2], [[[0, 0, 0]], [[1, -1], [1, 1], [-1, -1]]])
+        assert groups(klein, range(-1, 4)) == [
+            TRIVIAL, HomologyGroup(1), HomologyGroup(1, (2,)), TRIVIAL, TRIVIAL,
+        ]
+
+    def test_projective_plane(self):
+        # antipodal gluing: vertices v = P0 = P2 and w = P1 = P3, a: v -> w,
+        # b: w -> v, c a loop at v; dL = a + b - c, dU = a + b + c
+        rp2 = finite_complex(
+            [2, 3, 2],
+            [[[-1, 1, 0], [1, -1, 0]], [[1, 1], [1, 1], [-1, 1]]],
+        )
+        assert groups(rp2, range(-1, 4)) == [
+            TRIVIAL, HomologyGroup(1), Z_MOD_2, TRIVIAL, TRIVIAL,
+        ]
+
+    def test_diagonal_torsion(self):
+        cc = finite_complex([2, 2], [[[2, 0], [0, 6]]])
+        assert groups(cc, range(-1, 3)) == [
+            TRIVIAL, HomologyGroup(0, (2, 6)), TRIVIAL, TRIVIAL,
+        ]
+
+    def test_sphere_from_shuffled_simplex_boundary(self):
+        # faces of the 6-simplex of dimension 0..5: the sphere S^5
+        faces = [list(combinations(range(7), k + 1)) for k in range(6)]
+        rng = random.Random(6)
+        # a signed permutation of every degree's basis
+        perms = [rng.sample(range(len(level)), len(level)) for level in faces]
+        signs = [[rng.choice((1, -1)) for _ in level] for level in faces]
+        matrices = []
+        for k in range(5):
+            position = {face: r for r, face in enumerate(faces[k])}
+            old = [[0] * len(faces[k + 1]) for _ in faces[k]]
+            for col, face in enumerate(faces[k + 1]):
+                for t in range(len(face)):
+                    old[position[face[:t] + face[t + 1 :]]][col] = (-1) ** t
+            matrices.append(
+                [
+                    [
+                        signs[k][r] * signs[k + 1][c] * old[perms[k][r]][perms[k + 1][c]]
+                        for c in range(len(faces[k + 1]))
+                    ]
+                    for r in range(len(faces[k]))
+                ]
+            )
+        sphere = finite_complex([len(level) for level in faces], matrices)
+        expected = [TRIVIAL] * 8
+        expected[1] = expected[6] = HomologyGroup(1)
+        assert groups(sphere, range(-1, 7)) == expected
+
+    def test_differentials_that_do_not_compose_to_zero(self):
+        cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
+        with pytest.raises(HomAlgError, match="do not compose to zero"):
+            homology_at(cc, 1)

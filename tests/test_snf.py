@@ -2,7 +2,10 @@
 
 The determinant oracle is an independent fraction-free Bareiss expansion,
 and the invariant factors are cross-checked against the gcd-of-minors
-characterization (k = 1 and k = full rank) on the seeded random suite.
+characterization on the seeded random suites: for k = 1 and k = full rank
+on dense matrices, and for every k on the sparse unit-heavy ones, where
+the transform-free ``invariant_factors`` must also agree with
+``smith_normal_form``.
 """
 
 import random
@@ -11,7 +14,7 @@ from math import gcd
 
 import pytest
 
-from effhom import IntMatrix, smith_normal_form
+from effhom import IntMatrix, invariant_factors, smith_normal_form
 
 
 def bareiss_det(rows):
@@ -128,11 +131,56 @@ class TestSeededSuite:
                 assert entry_gcd == 0
 
 
+    def test_invariant_factors_match_snf_and_minors(self):
+        rng = random.Random(2001)
+        shapes = [(0, 0), (0, 4), (5, 0)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(150)]
+        for t, (rows, cols) in enumerate(shapes):
+            # mostly zeros and units, with a few larger entries
+            data = [
+                [rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3, 6)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if rows and cols and t % 3 == 0:
+                for row in data:
+                    row[rng.randrange(cols)] = 0
+                data[rng.randrange(rows)] = [0] * cols
+            a = IntMatrix.from_rows(data, rows, cols)
+            factors = invariant_factors(a)
+            assert factors == assert_snf_contract(a).invariant_factors, data
+            # the k-th determinantal divisor is d1 * ... * dk, and 0 past the rank
+            product = 1
+            for k in range(1, min(rows, cols) + 1):
+                product = product * factors[k - 1] if k <= len(factors) else 0
+                assert minor_gcd(a, k) == product, (data, k)
+
+    def test_invariant_factors_goldens(self):
+        assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+        assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 6]])) == (2, 6)
+        assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+        assert invariant_factors(IntMatrix.identity(4)) == (1, 1, 1, 1)
+        assert invariant_factors(IntMatrix.zeros(3, 2)) == ()
+        # one unit pivots out; the remainder diag(-2, 5) gives (1, 10), as
+        # Z/2 + Z/5 is Z/10
+        a = IntMatrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, 5]])
+        assert invariant_factors(a) == (1, 1, 10)
+
+
 class TestIntMatrix:
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
+
+    def test_matmul_with_zeros(self):
+        a = IntMatrix.from_rows([[0, 2, 0], [0, 0, 0]])
+        b = IntMatrix.from_rows([[5, 7], [0, -3], [1, 0]])
+        assert a @ b == IntMatrix.from_rows([[0, -6], [0, 0]])
+
+    def test_matmul_with_empty_side(self):
+        # the inner dimension is zero, so every entry is an empty sum
+        assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+        assert IntMatrix.zeros(0, 2) @ IntMatrix.identity(2) == IntMatrix.zeros(0, 2)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
