@@ -43,6 +43,7 @@ from .homology import (
     element_coordinates,
     enumerate_basis,
     homology_at,
+    homology_window,
     homology_via_effective_homology,
     module_rank,
 )

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .grammar import format_element, parse_element
-from .homology import homology_at, homology_via_effective_homology
+from .homology import homology_window
 from .instances import (
     CATALOG,
     HOMOTOPIES,
@@ -241,11 +241,9 @@ def cmd_homology(args) -> int:
         eh = resolve_effective_homology(args.instance)
     except KeyError:
         eh = None
-    if eh is not None:
-        groups = [(i, homology_via_effective_homology(eh, i)) for i in degrees]
-    else:
-        cc = _complex(args.instance)
-        groups = [(i, homology_at(cc, i)) for i in degrees]
+    # the homology of a reduction's top is the homology of its bottom
+    cc = eh.reduction.bottom if eh is not None else _complex(args.instance)
+    groups = zip(degrees, homology_window(cc, degrees))
     if args.format == "json":
         print(
             json.dumps(

@@ -7,15 +7,18 @@ of d(i) greater than one give: the homology sits inside coker d(i) with
 quotient C_i / ker d(i-1), which embeds in the free C_(i-1), so the two
 share their torsion and no basis of the kernel is ever needed.  Both
 matrices go through ``invariant_factors`` only, and their product checks
-exactly that d(i-1) d(i) = 0.  For a complex that reduces onto a
-finite-type bottom, the homology of the top *is* the homology of the
-bottom: that transfer is the whole point of an effective homology.
+exactly that d(i-1) d(i) = 0.  ``homology_window`` factors each
+differential once per call, however many degrees of the window use it.
+For a complex that reduces onto a finite-type bottom, the homology of the
+top *is* the homology of the bottom: that transfer is the whole point of
+an effective homology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
@@ -120,25 +123,45 @@ def differential_matrix(cc: ChainComplex, i: int) -> IntMatrix:
     return IntMatrix(module_rank(target), module_rank(source), entries)
 
 
+def homology_window(cc: ChainComplex, degrees: Iterable[int]) -> list[HomologyGroup]:
+    """The homology at each of ``degrees``, in order.
+
+    Each degree needs finite type at i-1, i and i+1.  The matrix of each
+    differential and its invariant factors are kept for the span of this
+    call, so a window of consecutive degrees builds and factors every d(i)
+    once, not once as the outgoing and again as the incoming map.
+    """
+    factored: dict[int, tuple[IntMatrix, tuple[int, ...]]] = {}
+    groups = []
+    for i in degrees:
+        for j in (i - 1, i, i + 1):
+            if not cc.module_at(j).is_finite_type():
+                raise NotFiniteTypeError(
+                    f"module at degree {j} is not of finite type; "
+                    "compute through an effective homology instead"
+                )
+        for j in (i - 1, i):
+            if j not in factored:
+                matrix = differential_matrix(cc, j)
+                factored[j] = (matrix, invariant_factors(matrix))
+        incoming, in_factors = factored[i - 1]
+        outgoing, out_factors = factored[i]
+        if any((incoming @ outgoing).entries):
+            raise HomAlgError(f"differentials do not compose to zero around degree {i}")
+        groups.append(
+            HomologyGroup(
+                betti_rank=incoming.cols - len(in_factors) - len(out_factors),
+                torsion=tuple(f for f in out_factors if f > 1),
+            )
+        )
+    return groups
+
+
 def homology_at(cc: ChainComplex, i: int) -> HomologyGroup:
     """ker d(i-1) / im d(i), requiring finite type at degrees i-1, i, i+1."""
-    for j in (i - 1, i, i + 1):
-        if not cc.module_at(j).is_finite_type():
-            raise NotFiniteTypeError(
-                f"module at degree {j} is not of finite type; "
-                "compute through an effective homology instead"
-            )
-    incoming = differential_matrix(cc, i - 1)
-    outgoing = differential_matrix(cc, i)
-    if any((incoming @ outgoing).entries):
-        raise HomAlgError(f"differentials do not compose to zero around degree {i}")
-    factors = invariant_factors(outgoing)
-    return HomologyGroup(
-        betti_rank=incoming.cols - len(invariant_factors(incoming)) - len(factors),
-        torsion=tuple(f for f in factors if f > 1),
-    )
+    return homology_window(cc, [i])[0]
 
 
 def homology_via_effective_homology(eh: EffectiveHomology, i: int) -> HomologyGroup:
     """Homology of the top complex, computed on the finite-type bottom."""
-    return homology_at(eh.reduction.bottom, i)
+    return homology_window(eh.reduction.bottom, [i])[0]

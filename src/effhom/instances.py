@@ -14,7 +14,7 @@ in ``CATALOG`` and ``HOMOTOPIES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
 
@@ -86,11 +86,7 @@ def cc1() -> ChainComplex:
 @cache
 def fcc1() -> ChainComplex:
     """Same complex as ``cc1`` but carrying the declared finite-type flag."""
-
-    def diff(i):
-        return scaling(Z, 2) if i % 2 == 0 else zero_map(Z, Z)
-
-    return ChainComplex(lambda i: Z, diff, declared_finite_type=True)
+    return replace(cc1(), declared_finite_type=True)
 
 
 @cache

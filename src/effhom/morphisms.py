@@ -1,11 +1,15 @@
 """Linear maps between free modules.
 
 A morphism packages a source and a target description with a pure action
-on elements.  Every application validates membership on both ends, so a
-bad generator image or a shape mistake surfaces as a ``MembershipError``
-at application time.  Composition is written ``g * f`` (first apply ``f``),
-addition ``f + g`` and negation ``-f``; all three check the descriptions
-when the morphism is built, not when it is first applied.
+on elements.  Calling a morphism validates membership on both ends of that
+outer call.  Composites (``g * f``, ``f + g``, ``-f``, ``pair`` and
+``direct_sum_map``) check the descriptions when they are built and then
+run the inner actions directly, so an element is validated once per
+application, not once per layer.  The one leaf whose images come from a
+user callable, ``from_generator_images``, checks its own result against its
+target, so a bad generator image still surfaces as a ``MembershipError``
+at application time, also from inside a composite.  Composition is written
+``g * f`` (first apply ``f``), addition ``f + g`` and negation ``-f``.
 
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ShapeMismatchError
+from .errors import MembershipError, ShapeMismatchError
 from .modules import Comb, DirectSum, Element, FreeModule, Pair
 
 
@@ -42,17 +46,20 @@ class ModMorphism:
             raise ShapeMismatchError(
                 f"cannot compose: inner target {other.target} != outer source {self.source}"
             )
-        return ModMorphism(other.source, self.target, lambda e: self(other(e)))
+        outer, inner = self.action, other.action
+        return ModMorphism(other.source, self.target, lambda e: outer(inner(e)))
 
     def __add__(self, other: "ModMorphism") -> "ModMorphism":
         if not isinstance(other, ModMorphism):
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatchError("cannot add morphisms with different shapes")
-        return ModMorphism(self.source, self.target, lambda e: self(e) + other(e))
+        a, b = self.action, other.action
+        return ModMorphism(self.source, self.target, lambda e: a(e) + b(e))
 
     def __neg__(self) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, lambda e: -self(e))
+        a = self.action
+        return ModMorphism(self.source, self.target, lambda e: -a(e))
 
     def __sub__(self, other: "ModMorphism") -> "ModMorphism":
         return self + (-other)
@@ -78,18 +85,37 @@ def from_generator_images(
 ) -> ModMorphism:
     """The linear extension of a map defined on generators.
 
-    ``source`` must be combination-shaped; the image of a combination is
-    the coefficient-weighted sum of the generator images, canonicalized.
+    ``source`` and ``target`` must be combination-shaped.  The image of a
+    combination is the coefficient-weighted sum of the generator images,
+    accumulated in one dict and canonicalized once, so an application costs
+    time linear in the image terms it touches.  The result is checked
+    against ``target``, so a bad image raises ``MembershipError`` even when
+    the map sits inside a composite:
+
+    >>> from effhom.modules import Z, COUNTABLE, generator
+    >>> bad = from_generator_images(COUNTABLE, Z, generator)
+    >>> (scaling(Z, 2) * bad)(generator(0))
+    2*x0
+    >>> (scaling(Z, 2) * bad)(generator(3))
+    Traceback (most recent call last):
+        ...
+    effhom.errors.MembershipError: x3 is not a member of Z
     """
     if isinstance(source, DirectSum):
         raise ShapeMismatchError("generator images need a combination-shaped source")
+    if isinstance(target, DirectSum):
+        raise ShapeMismatchError("generator images need a combination-shaped target")
 
     def act(element: Element) -> Element:
         assert isinstance(element, Comb)
-        out = target.zero()
+        acc: dict[int, int] = {}
         for g, c in element.terms:
-            out = out + c * images(g)
-        return out
+            image = images(g)
+            if not isinstance(image, Comb):
+                raise MembershipError(f"image of x{g} is {image!r}, not a combination")
+            for h, v in image.terms:
+                acc[h] = acc.get(h, 0) + c * v
+        return target.require(Comb(tuple((h, acc[h]) for h in sorted(acc) if acc[h])))
 
     return ModMorphism(source, target, act)
 
@@ -119,14 +145,16 @@ def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     if f.source != g.source:
         raise ShapeMismatchError("paired morphisms must share their source")
     target = DirectSum(f.target, g.target)
-    return ModMorphism(f.source, target, lambda e: Pair(f(e), g(e)))
+    fa, ga = f.action, g.action
+    return ModMorphism(f.source, target, lambda e: Pair(fa(e), ga(e)))
 
 
 def direct_sum_map(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     """Componentwise action on a direct sum: ``(a, b) -> (f(a), g(b))``."""
     source = DirectSum(f.source, g.source)
     target = DirectSum(f.target, g.target)
-    return ModMorphism(source, target, lambda e: Pair(f(e.left), g(e.right)))
+    fa, ga = f.action, g.action
+    return ModMorphism(source, target, lambda e: Pair(fa(e.left), ga(e.right)))
 
 
 def _require_sum(desc: FreeModule) -> None:

@@ -19,6 +19,7 @@ from itertools import combinations
 
 import pytest
 
+import effhom.homology
 from effhom import (
     COUNTABLE,
     ZERO,
@@ -38,6 +39,7 @@ from effhom import (
     from_generator_images,
     homology_at,
     homology_via_effective_homology,
+    homology_window,
     module_rank,
     normalize,
     zero_map,
@@ -185,7 +187,9 @@ def finite_complex(ranks, matrices):
 
 
 def groups(cc, degrees):
-    return [homology_at(cc, i) for i in degrees]
+    one_by_one = [homology_at(cc, i) for i in degrees]
+    assert homology_window(cc, degrees) == one_by_one
+    return one_by_one
 
 
 # A square with corners P0 P1 P2 P3 (counter-clockwise) cut along the
@@ -259,3 +263,29 @@ class TestKnownAnswers:
         cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
         with pytest.raises(HomAlgError, match="do not compose to zero"):
             homology_at(cc, 1)
+
+
+class TestHomologyWindow:
+    def test_each_differential_built_and_factored_once(self, monkeypatch):
+        calls = {"matrix": [], "factors": 0}
+        build = effhom.homology.differential_matrix
+        factor = effhom.homology.invariant_factors
+
+        def counted_build(cc, i):
+            calls["matrix"].append(i)
+            return build(cc, i)
+
+        def counted_factor(matrix):
+            calls["factors"] += 1
+            return factor(matrix)
+
+        monkeypatch.setattr(effhom.homology, "differential_matrix", counted_build)
+        monkeypatch.setattr(effhom.homology, "invariant_factors", counted_factor)
+        got = homology_window(fcc1(), range(-3, 4))
+        assert got == [Z_MOD_2 if i % 2 == 0 else TRIVIAL for i in range(-3, 4)]
+        assert calls == {"matrix": list(range(-4, 4)), "factors": 8}
+
+    def test_first_failing_degree_raises(self):
+        cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
+        with pytest.raises(HomAlgError, match="around degree 1"):
+            homology_window(cc, [0, 1, 2])

@@ -55,6 +55,42 @@ class TestGeneratorImages:
         with pytest.raises(ShapeMismatchError):
             from_generator_images(DirectSum(Z, Z), Z, generator)
 
+    def test_sum_target_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            from_generator_images(Z, DirectSum(Z, Z), generator)
+
+    def test_pair_image_raises_at_application(self):
+        phi = from_generator_images(
+            COUNTABLE, COUNTABLE, lambda j: Pair(generator(j), Comb(()))
+        )
+        with pytest.raises(MembershipError):
+            phi(generator(3))
+
+
+# x0 -> x1, which is not a member of Z.  In `g*f` (an outer zero map) and
+# `f+g` (BAD - BAD) the bad term is discarded or cancels before the outer
+# boundary, so only the leaf's own check can catch it.
+BAD = from_generator_images(Z, Z, lambda j: generator(j + 1))
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        zero_map(Z, Z) * BAD,
+        BAD * scaling(Z, 2),
+        BAD - BAD,
+        pair(BAD, identity(Z)),
+        direct_sum_map(identity(Z), BAD),
+    ],
+    ids=["g*f", "f*g", "f+g", "pair", "direct_sum_map"],
+)
+def test_bad_image_inside_composite_raises_at_application(composite):
+    x = generator(0)
+    if isinstance(composite.source, DirectSum):
+        x = Pair(x, x)
+    with pytest.raises(MembershipError):
+        composite(x)
+
 
 class TestApplication:
     def test_identity(self):
@@ -144,3 +180,31 @@ def test_pointwise_contracts(c, u):
     assert (g * f)(u) == g(f(u))
     assert (f + g)(u) == f(u) + g(u)
     assert (-f)(u) == -(f(u))
+
+
+def folded(images, element):
+    """Reference: the image as a left fold of ``+``, one generator at a time."""
+    out = Comb(())
+    for g, c in element.terms:
+        out = out + c * images(g)
+    return out
+
+
+wide_combs = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(0, 999)), max_size=200
+).map(lambda t: normalize(t, COUNTABLE))
+
+
+@given(st.lists(combs, min_size=1, max_size=4), wide_combs)
+def test_accumulation_matches_fold(pool, u):
+    # x_j and x_(j + len(pool)) have opposite images, so terms cancel often
+    # and u + shift(u) maps to zero
+    n = len(pool)
+
+    def images(j):
+        return (-1) ** (j // n) * pool[j % n]
+
+    phi = from_generator_images(COUNTABLE, COUNTABLE, images)
+    assert phi(u) == folded(images, u)
+    cancelling = u + Comb(tuple((g + n, c) for g, c in u.terms))
+    assert phi(cancelling) == folded(images, cancelling) == Comb(())
