@@ -135,6 +135,15 @@ def _homotopy(name: str, cc):
     return h
 
 
+def _reduction(ident: str, law: str):
+    try:
+        return resolve_effective_homology(ident).reduction
+    except KeyError:
+        raise UsageError(
+            f"{law} checks apply to effective-homology instances"
+        ) from None
+
+
 def _emit_report(report: LawReport, args) -> int:
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -197,24 +206,13 @@ def cmd_check(args) -> int:
     if law == "nilpotency":
         report = check_nilpotency(_complex(args.instance), degrees, sampler)
     elif law == "chain-morphism":
-        try:
-            eh = resolve_effective_homology(args.instance)
-        except KeyError:
-            raise UsageError(
-                "chain-morphism checks apply to effective-homology instances"
-            ) from None
-        r = eh.reduction
+        r = _reduction(args.instance, "chain-morphism")
         report = check_chain_morphism(r.f, degrees, sampler, law="f:fd=df").merged(
             check_chain_morphism(r.g, degrees, sampler, law="g:fd=df")
         )
     elif law == "reduction":
-        try:
-            eh = resolve_effective_homology(args.instance)
-        except KeyError:
-            raise UsageError(
-                "reduction checks apply to effective-homology instances"
-            ) from None
-        report = check_reduction_laws(eh.reduction, degrees, sampler)
+        r = _reduction(args.instance, "reduction")
+        report = check_reduction_laws(r, degrees, sampler)
     elif law.startswith("contracting:"):
         cc = _complex(args.instance)
         h = _homotopy(law.split(":", 1)[1], cc)

@@ -28,6 +28,7 @@ from .cone import cone_effective_homology
 from .errors import LawViolationError
 from .modules import COUNTABLE, Z, Comb, generator
 from .morphisms import (
+    ModMorphism,
     direct_sum_map,
     from_generator_images,
     identity,
@@ -89,6 +90,14 @@ def fcc1() -> ChainComplex:
     return replace(cc1(), declared_finite_type=True)
 
 
+def _parity_map(i: int) -> ModMorphism:
+    """On x0, x1, ...: keep the generators of the parity of ``i``, kill the rest."""
+    keep = i % 2
+    return from_generator_images(
+        COUNTABLE, COUNTABLE, lambda j: generator(j) if j % 2 == keep else Comb(())
+    )
+
+
 @cache
 def cc2() -> ChainComplex:
     """Infinite-type complex on x0, x1, ...
@@ -96,16 +105,7 @@ def cc2() -> ChainComplex:
     The differential at an even index keeps the even generators and kills
     the odd ones; at an odd index it keeps the odd generators.
     """
-
-    def diff(i):
-        keep = i % 2
-        return from_generator_images(
-            COUNTABLE,
-            COUNTABLE,
-            lambda j: generator(j) if j % 2 == keep else Comb(()),
-        )
-
-    return ChainComplex(lambda i: COUNTABLE, diff)
+    return ChainComplex(lambda i: COUNTABLE, _parity_map)
 
 
 @cache
@@ -116,16 +116,7 @@ def hcc2() -> HomotopyOperator:
     makes it a contracting homotopy: at each degree exactly one of d.h and
     h.d is the identity on a generator and the other is zero.
     """
-
-    def family(i):
-        keep = i % 2
-        return from_generator_images(
-            COUNTABLE,
-            COUNTABLE,
-            lambda j: generator(j) if j % 2 == keep else Comb(()),
-        )
-
-    return HomotopyOperator(cc2(), family)
+    return HomotopyOperator(cc2(), _parity_map)
 
 
 @cache

@@ -1,4 +1,13 @@
-"""Reports produced by the sampled law checkers.
+"""The law engine: equations of morphisms, sampled and reported.
+
+Every law is an equation ``lhs = rhs`` between two morphisms with one
+source and one target, built per degree with the morphism algebra
+(``*``, ``+``, ``-``, ``identity``, ``zero_map``); for example the
+homotopy law of a reduction is ``d*h + h*d + g*f = identity``.
+``run_law`` is the only code that samples, compares and formats a law.
+At each degree it draws samples ``a`` from ``lhs.source`` and records a
+pass when ``lhs(a) == rhs(a)``; a failure records ``a`` and ``lhs(a)``,
+both formatted in the element grammar.
 
 A report gathers one section per law; a section records a verdict for
 every (degree, sample) pair plus the sampler settings, so a failed run can
@@ -15,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .modules import FreeModule
+from .errors import ShapeMismatchError
+from .grammar import format_element
+from .morphisms import ModMorphism, identity, zero_map
 from .sampling import Sampler
 
 
@@ -111,24 +122,43 @@ class LawReport:
         return LawReport(tuple(sections))
 
 
-#: ``at_degree(i)`` returns the module to sample at degree ``i`` together
-#: with a pointwise check returning ``(ok, None)`` or
-#: ``(ok, (input_text, output_text))``.
-DegreeLaw = Callable[[int], tuple[FreeModule, Callable]]
+def equals_zero(lhs: ModMorphism) -> tuple[ModMorphism, ModMorphism]:
+    """The equation ``lhs = 0``."""
+    return lhs, zero_map(lhs.source, lhs.target)
 
 
-def run_law(name: str, degrees, sampler: Sampler, at_degree: DegreeLaw) -> LawSection:
-    """Evaluate one law over a degree window, sampling per degree."""
+def equals_identity(lhs: ModMorphism) -> tuple[ModMorphism, ModMorphism]:
+    """The equation ``lhs = id``."""
+    return lhs, identity(lhs.source)
+
+
+def run_law(
+    name: str,
+    degrees,
+    sampler: Sampler,
+    sides: Callable[[int], tuple[ModMorphism, ModMorphism]],
+) -> LawSection:
+    """Sample the equation ``sides(i)`` at every degree ``i`` of a window.
+
+    The calls of ``lhs`` validate each sample and its image, so ``rhs`` is
+    evaluated by its action alone.
+    """
     window = sorted(set(degrees))
     if not window:
         raise ValueError("degree window must be nonempty")
     records = []
     for i in window:
-        domain, check = at_degree(i)
-        for j, element in enumerate(sampler.elements(domain, f"{name}@{i}")):
-            ok, failure = check(element)
-            if ok:
+        lhs, rhs = sides(i)
+        if lhs.source != rhs.source or lhs.target != rhs.target:
+            raise ShapeMismatchError(
+                f"law {name} at degree {i} compares {lhs.source} -> {lhs.target} "
+                f"with {rhs.source} -> {rhs.target}"
+            )
+        for j, a in enumerate(sampler.elements(lhs.source, f"{name}@{i}")):
+            out = lhs(a)
+            if out == rhs.action(a):
                 records.append(LawRecord(name, i, j, True))
             else:
-                records.append(LawRecord(name, i, j, False, failure[0], failure[1]))
+                failure = format_element(a, lhs.source), format_element(out, lhs.target)
+                records.append(LawRecord(name, i, j, False, *failure))
     return LawSection(name, window[0], window[-1], sampler, tuple(records))

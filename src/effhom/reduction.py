@@ -2,18 +2,22 @@
 
 A reduction connects a top complex to a (typically smaller) bottom
 complex through chain morphisms f (top to bottom), g (bottom to top) and
-a degree-raising homotopy operator h on the top, subject to five laws:
+a degree-raising homotopy operator h on the top, subject to five laws,
+written at degree i as equations of composite morphisms (``g * f`` applies
+f first):
 
-    1. f . g = id              on the bottom
-    2. d.h + h.d + g.f = id    on the top
-    3. f . h = 0
-    4. h . g = 0
-    5. h . h = 0
+    1. f(i) * g(i) = id                                     on the bottom
+    2. d(i+1) * h(i+1) + h(i) * d(i) + g(i+1) * f(i+1) = id on the top
+    3. f(i+1) * h(i) = 0
+    4. h(i) * g(i) = 0
+    5. h(i+1) * h(i) = 0
 
-Values are constructible without proof; validity is established by the
-sampled checkers, and a reduction whose bottom is free of finite type is
-an effective homology: homological questions about the top transfer to
-plain integer linear algebra on the bottom.
+A contracting homotopy of one complex satisfies d(i) * h(i) +
+h(i-1) * d(i-1) = id and law 5.  Values are constructible without proof;
+the checkers hand each equation to the law engine (``laws.run_law``),
+which samples it.  A reduction whose bottom is free of finite type is an
+effective homology: homological questions about the top transfer to plain
+integer linear algebra on the bottom.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .grammar import format_element
-from .laws import LawReport, run_law
+from .laws import LawReport, LawSection, equals_identity, equals_zero, run_law
 from .modules import Element
 from .morphisms import ModMorphism, zero_map
 from .sampling import Sampler
@@ -100,139 +104,49 @@ def effective_homology(
 
 def check_reduction_laws(r: Reduction, degrees, sampler: Sampler) -> LawReport:
     """Sample the five reduction laws; one report section per law."""
-    top, bottom, f, g, h = r.top, r.bottom, r.f, r.g, r.h
+    d, f, g, h = r.top.diff_at, r.f.at, r.g.at, r.h.at
 
-    def law_fg(i):
-        fi, gi = f.at(i), g.at(i)
-        domain = bottom.module_at(i)
-
-        def check(y):
-            out = fi(gi(y))
-            if out == y:
-                return True, None
-            return False, (format_element(y, domain), format_element(out, domain))
-
-        return domain, check
-
-    def law_homotopy(i):
-        # Elements live in top degree i+1, matching d(i+1).h(i+1) + h(i).d(i).
-        d_high = top.diff_at(i + 1)
-        d_low = top.diff_at(i)
-        h_high = h.at(i + 1)
-        h_low = h.at(i)
-        gi, fi = g.at(i + 1), f.at(i + 1)
-        domain = top.module_at(i + 1)
-
-        def check(a):
-            out = d_high(h_high(a)) + h_low(d_low(a)) + gi(fi(a))
-            if out == a:
-                return True, None
-            return False, (format_element(a, domain), format_element(out, domain))
-
-        return domain, check
-
-    def law_fh(i):
-        hi = h.at(i)
-        fi = f.at(i + 1)
-        domain = top.module_at(i)
-        zero = bottom.module_at(i + 1).zero()
-
-        def check(a):
-            out = fi(hi(a))
-            if out == zero:
-                return True, None
-            return False, (format_element(a, domain), format_element(out, fi.target))
-
-        return domain, check
-
-    def law_hg(i):
-        gi = g.at(i)
-        hi = h.at(i)
-        domain = bottom.module_at(i)
-        zero = top.module_at(i + 1).zero()
-
-        def check(y):
-            out = hi(gi(y))
-            if out == zero:
-                return True, None
-            return False, (format_element(y, domain), format_element(out, hi.target))
-
-        return domain, check
-
-    def law_hh(i):
-        h_low = h.at(i)
-        h_high = h.at(i + 1)
-        domain = top.module_at(i)
-        zero = top.module_at(i + 2).zero()
-
-        def check(a):
-            out = h_high(h_low(a))
-            if out == zero:
-                return True, None
-            return False, (
-                format_element(a, domain),
-                format_element(out, h_high.target),
-            )
-
-        return domain, check
+    def homotopy(i):
+        # samples live in top degree i+1
+        return equals_identity(d(i + 1) * h(i + 1) + h(i) * d(i) + g(i + 1) * f(i + 1))
 
     return LawReport(
         (
-            run_law("fg=id", degrees, sampler, law_fg),
-            run_law("dh+hd+gf=id", degrees, sampler, law_homotopy),
-            run_law("fh=0", degrees, sampler, law_fh),
-            run_law("hg=0", degrees, sampler, law_hg),
-            run_law("hh=0", degrees, sampler, law_hh),
+            run_law("fg=id", degrees, sampler, lambda i: equals_identity(f(i) * g(i))),
+            run_law("dh+hd+gf=id", degrees, sampler, homotopy),
+            run_law("fh=0", degrees, sampler, lambda i: equals_zero(f(i + 1) * h(i))),
+            run_law("hg=0", degrees, sampler, lambda i: equals_zero(h(i) * g(i))),
+            _squares_to_zero(r.h, degrees, sampler),
         )
     )
+
+
+def _squares_to_zero(h: HomotopyOperator, degrees, sampler: Sampler) -> LawSection:
+    """Law 5, shared by ``check_reduction_laws`` and contracting homotopies."""
+
+    def sides(i):
+        return equals_zero(h.at(i + 1) * h.at(i))
+
+    return run_law("hh=0", degrees, sampler, sides)
 
 
 def check_contracting(
     cc: ChainComplex, h: HomotopyOperator, degrees, sampler: Sampler
 ) -> LawReport:
-    """Sample d(i).h(i) + h(i-1).d(i-1) = id on elements at degree i."""
+    """Sample d(i) . h(i) + h(i-1) . d(i-1) = id on elements at degree i."""
+    d = cc.diff_at
 
-    def at_degree(i):
-        d_here = cc.diff_at(i)
-        d_below = cc.diff_at(i - 1)
-        h_here = h.at(i)
-        h_below = h.at(i - 1)
-        domain = cc.module_at(i)
+    def sides(i):
+        return equals_identity(d(i) * h.at(i) + h.at(i - 1) * d(i - 1))
 
-        def check(a):
-            out = d_here(h_here(a)) + h_below(d_below(a))
-            if out == a:
-                return True, None
-            return False, (format_element(a, domain), format_element(out, domain))
-
-        return domain, check
-
-    return LawReport((run_law("dh+hd=id", degrees, sampler, at_degree),))
+    return LawReport((run_law("dh+hd=id", degrees, sampler, sides),))
 
 
 def check_homotopy_squares_to_zero(
     cc: ChainComplex, h: HomotopyOperator, degrees, sampler: Sampler
 ) -> LawReport:
-    """Sample h(i+1).h(i) = 0 on elements at degree i."""
-
-    def at_degree(i):
-        h_low = h.at(i)
-        h_high = h.at(i + 1)
-        domain = cc.module_at(i)
-        zero = cc.module_at(i + 2).zero()
-
-        def check(a):
-            out = h_high(h_low(a))
-            if out == zero:
-                return True, None
-            return False, (
-                format_element(a, domain),
-                format_element(out, h_high.target),
-            )
-
-        return domain, check
-
-    return LawReport((run_law("hh=0", degrees, sampler, at_degree),))
+    """Sample h(i+1) . h(i) = 0 on elements at degree i; ``h`` acts on ``cc``."""
+    return LawReport((_squares_to_zero(h, degrees, sampler),))
 
 
 def perturb_homotopy(r: Reduction, h_bottom: HomotopyOperator) -> HomotopyOperator:

@@ -1,0 +1,250 @@
+"""Golden law reports and the law engine's equation contract.
+
+The golden text and JSON pin the reports of four failing checks and one
+passing h.h = 0 section byte for byte, on a two-degree window; they are
+the reports the checkers gave before they became equations for
+``run_law``.
+"""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from effhom import (
+    COUNTABLE,
+    Z,
+    ChainComplex,
+    ChainMorphism,
+    LawReport,
+    Reduction,
+    Sampler,
+    ShapeMismatchError,
+    check_chain_morphism,
+    check_contracting,
+    check_homotopy_squares_to_zero,
+    check_nilpotency,
+    check_reduction_laws,
+    format_element,
+    identity,
+    pair,
+    proj1,
+    run_law,
+    scaling,
+    zero_homotopy,
+    zero_map,
+)
+from effhom.instances import cc2, cc2_to_null, cone_example, fcc1, h1_bottom, hcc2, sum12
+
+SAMPLER = Sampler(seed=7, samples=2)
+WINDOW = range(0, 2)
+
+NILP_TEXT = """\
+law=dd=0 degree=0 sample=0 verdict=fail input="5" output="5"
+law=dd=0 degree=0 sample=1 verdict=fail input="7" output="7"
+law=dd=0 degree=1 sample=0 verdict=fail input="-11" output="-11"
+law=dd=0 degree=1 sample=1 verdict=fail input="-15" output="-15"
+law=dd=0 degrees=0..1 samples=2 seed=7 violations=4"""
+NILP_JSON = (
+    '{"violations": 4, "laws": [{"law": "dd=0", "degrees": {"lo": 0, "hi": 1}, '
+    '"samples": 2, "seed": 7, "violations": 4, "records": ['
+    '{"degree": 0, "sample": 0, "verdict": "fail", "input": "5", "output": "5"}, '
+    '{"degree": 0, "sample": 1, "verdict": "fail", "input": "7", "output": "7"}, '
+    '{"degree": 1, "sample": 0, "verdict": "fail", "input": "-11", "output": "-11"}, '
+    '{"degree": 1, "sample": 1, "verdict": "fail", "input": "-15", "output": "-15"}'
+    ']}]}'
+)
+CM_TEXT = """\
+law=fd=df degree=0 sample=0 verdict=fail input="(-14, -16*x4)" output="-28"
+law=fd=df degree=0 sample=1 verdict=fail input="(-18, -9*x1+4*x15)" output="-36"
+law=fd=df degree=1 sample=0 verdict=fail input="(12, -11*x2-14*x9-16*x11)" output="-24"
+law=fd=df degree=1 sample=1 verdict=fail input="(-13, 6*x1+5*x2+12*x6)" output="26"
+law=fd=df degrees=0..1 samples=2 seed=7 violations=4"""
+CM_JSON = (
+    '{"violations": 4, "laws": [{"law": "fd=df", "degrees": {"lo": 0, "hi": 1}, '
+    '"samples": 2, "seed": 7, "violations": 4, "records": ['
+    '{"degree": 0, "sample": 0, "verdict": "fail", "input": "(-14, -16*x4)", "output": "-28"}, '
+    '{"degree": 0, "sample": 1, "verdict": "fail", "input": "(-18, -9*x1+4*x15)", "output": "-36"}, '
+    '{"degree": 1, "sample": 0, "verdict": "fail", "input": "(12, -11*x2-14*x9-16*x11)", "output": "-24"}, '
+    '{"degree": 1, "sample": 1, "verdict": "fail", "input": "(-13, 6*x1+5*x2+12*x6)", "output": "26"}'
+    ']}]}'
+)
+RED_TEXT = """\
+law=dh+hd+gf=id degree=0 sample=0 verdict=fail input="(18, -13*x2+7*x5)" output="(18, 0)"
+law=dh+hd+gf=id degree=0 sample=1 verdict=fail input="(-12, x2+11*x3+12*x4+3*x8-16*x14)" output="(-12, 0)"
+law=dh+hd+gf=id degree=1 sample=0 verdict=fail input="(11, -19*x4-16*x5+11*x6+19*x14)" output="(11, 0)"
+law=dh+hd+gf=id degree=1 sample=1 verdict=fail input="(-9, 3*x12)" output="(-9, 0)"
+law=dh+hd+gf=id degrees=0..1 samples=2 seed=7 violations=4"""
+RED_JSON = (
+    '{"violations": 4, "laws": [{"law": "dh+hd+gf=id", "degrees": {"lo": 0, "hi": 1}, '
+    '"samples": 2, "seed": 7, "violations": 4, "records": ['
+    '{"degree": 0, "sample": 0, "verdict": "fail", "input": "(18, -13*x2+7*x5)", "output": "(18, 0)"}, '
+    '{"degree": 0, "sample": 1, "verdict": "fail", "input": "(-12, x2+11*x3+12*x4+3*x8-16*x14)", "output": "(-12, 0)"}, '
+    '{"degree": 1, "sample": 0, "verdict": "fail", "input": "(11, -19*x4-16*x5+11*x6+19*x14)", "output": "(11, 0)"}, '
+    '{"degree": 1, "sample": 1, "verdict": "fail", "input": "(-9, 3*x12)", "output": "(-9, 0)"}'
+    ']}]}'
+)
+CONTR_TEXT = """\
+law=dh+hd=id degree=0 sample=0 verdict=fail input="(11, -3)" output="(0, 0)"
+law=dh+hd=id degree=0 sample=1 verdict=fail input="(20, -5)" output="(0, 0)"
+law=dh+hd=id degree=1 sample=0 verdict=fail input="(-11, 11)" output="(0, 0)"
+law=dh+hd=id degree=1 sample=1 verdict=fail input="(-4, -17)" output="(0, 0)"
+law=dh+hd=id degrees=0..1 samples=2 seed=7 violations=4"""
+CONTR_JSON = (
+    '{"violations": 4, "laws": [{"law": "dh+hd=id", "degrees": {"lo": 0, "hi": 1}, '
+    '"samples": 2, "seed": 7, "violations": 4, "records": ['
+    '{"degree": 0, "sample": 0, "verdict": "fail", "input": "(11, -3)", "output": "(0, 0)"}, '
+    '{"degree": 0, "sample": 1, "verdict": "fail", "input": "(20, -5)", "output": "(0, 0)"}, '
+    '{"degree": 1, "sample": 0, "verdict": "fail", "input": "(-11, 11)", "output": "(0, 0)"}, '
+    '{"degree": 1, "sample": 1, "verdict": "fail", "input": "(-4, -17)", "output": "(0, 0)"}'
+    ']}]}'
+)
+HH_TEXT = """\
+law=hh=0 degree=0 sample=0 verdict=pass
+law=hh=0 degree=0 sample=1 verdict=pass
+law=hh=0 degree=1 sample=0 verdict=pass
+law=hh=0 degree=1 sample=1 verdict=pass
+law=hh=0 degrees=0..1 samples=2 seed=7 violations=0"""
+HH_JSON = (
+    '{"violations": 0, "laws": [{"law": "hh=0", "degrees": {"lo": 0, "hi": 1}, '
+    '"samples": 2, "seed": 7, "violations": 0, "records": ['
+    '{"degree": 0, "sample": 0, "verdict": "pass"}, '
+    '{"degree": 0, "sample": 1, "verdict": "pass"}, '
+    '{"degree": 1, "sample": 0, "verdict": "pass"}, '
+    '{"degree": 1, "sample": 1, "verdict": "pass"}'
+    ']}]}'
+)
+
+
+def identity_differential():
+    return ChainComplex(lambda i: Z, lambda i: identity(Z))
+
+
+def swapped_parity_morphism():
+    # the projection sum12 -> cc1, but into a target that doubles at odd
+    # indices instead of even ones
+    swapped = ChainComplex(
+        lambda i: Z, lambda i: scaling(Z, 2) if i % 2 else zero_map(Z, Z)
+    )
+    src = sum12()
+    return ChainMorphism(src, swapped, lambda i: proj1(src.module_at(i)))
+
+
+def zero_homotopy_reduction():
+    top, bottom = sum12(), fcc1()
+    f = ChainMorphism(top, bottom, lambda i: proj1(top.module_at(i)))
+    g = ChainMorphism(bottom, top, lambda i: pair(identity(Z), zero_map(Z, COUNTABLE)))
+    return Reduction(top, bottom, f, g, zero_homotopy(top))
+
+
+def section(report, law):
+    (match,) = [s for s in report.sections if s.law == law]
+    return LawReport((match,))
+
+
+GOLDEN = {
+    "nilpotency": (
+        lambda: check_nilpotency(identity_differential(), WINDOW, SAMPLER),
+        NILP_TEXT,
+        NILP_JSON,
+    ),
+    "chain-morphism": (
+        lambda: check_chain_morphism(swapped_parity_morphism(), WINDOW, SAMPLER),
+        CM_TEXT,
+        CM_JSON,
+    ),
+    "reduction": (
+        lambda: section(
+            check_reduction_laws(zero_homotopy_reduction(), WINDOW, SAMPLER),
+            "dh+hd+gf=id",
+        ),
+        RED_TEXT,
+        RED_JSON,
+    ),
+    "contracting": (
+        lambda: check_contracting(
+            cone_example().reduction.bottom, h1_bottom(), WINDOW, SAMPLER
+        ),
+        CONTR_TEXT,
+        CONTR_JSON,
+    ),
+    "hh": (
+        lambda: check_homotopy_squares_to_zero(cc2(), hcc2(), WINDOW, SAMPLER),
+        HH_TEXT,
+        HH_JSON,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_text(name):
+    report, text, _ = GOLDEN[name]
+    assert report().to_text() == text
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_json(name):
+    report, _, data = GOLDEN[name]
+    assert json.dumps(report().to_json()) == data
+
+
+def test_reduction_hh_section_is_the_shared_equation():
+    report = check_reduction_laws(cc2_to_null().reduction, WINDOW, SAMPLER)
+    assert section(report, "hh=0").to_text() == HH_TEXT
+
+
+class TestRunLaw:
+    def test_samples_come_from_lhs_source_under_the_law_label(self):
+        lhs = scaling(COUNTABLE, 3)
+        out = run_law("triple", [4], SAMPLER, lambda i: (lhs, identity(COUNTABLE)))
+        drawn = SAMPLER.elements(COUNTABLE, "triple@4")
+        assert [r.input for r in out.records] == [
+            format_element(a, COUNTABLE) for a in drawn
+        ]
+
+    def test_failure_output_is_lhs_of_the_sample(self):
+        lhs, rhs = scaling(Z, 3), scaling(Z, 2)
+        out = run_law("x", [0], SAMPLER, lambda i: (lhs, rhs))
+        (a, b) = SAMPLER.elements(Z, "x@0")
+        assert [r.output for r in out.records] == [
+            format_element(3 * a, Z), format_element(3 * b, Z)
+        ]
+
+    def test_equal_sides_pass(self):
+        d = scaling(Z, 2)
+        out = run_law("x", range(-1, 2), SAMPLER, lambda i: (d + d, scaling(Z, 4)))
+        assert out.violations == 0 and len(out.records) == 6
+
+    def test_sides_of_different_shape_are_refused(self):
+        with pytest.raises(ShapeMismatchError):
+            run_law("x", [0], SAMPLER, lambda i: (identity(Z), zero_map(Z, COUNTABLE)))
+
+    def test_empty_window_is_refused(self):
+        with pytest.raises(ValueError):
+            run_law("x", [], SAMPLER, lambda i: (identity(Z), identity(Z)))
+
+
+def test_traced_boundaries_resolve():
+    """Every boundary the benchmark tracer wraps exists under its name.
+
+    ``bench/tracing.py`` is parsed, not imported, so the check neither runs
+    nor writes anything under ``bench/``.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    (boundaries,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "BOUNDARIES" for t in node.targets)
+    ]
+    entries = ast.literal_eval(boundaries)
+    assert entries
+    for module_name, owner, attr, _ in entries:
+        module = importlib.import_module(f"effhom.{module_name}")
+        if owner is None:
+            assert callable(getattr(module, attr)), (module_name, attr)
+        else:
+            assert attr in vars(getattr(module, owner)), (module_name, owner, attr)
