@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .complexes import check_chain_morphism, check_nilpotency
 from .errors import (
@@ -255,7 +256,9 @@ def cmd_homology(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="effhom",
         description="evaluate, law-check, and compute homology over the instance catalog",
@@ -318,10 +321,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, MembershipError, ShapeMismatchError, NotFiniteTypeError) as exc:
+    except (UsageError, ParseError, MembershipError, ShapeMismatchError,
+            NotFiniteTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotACycleError as exc:

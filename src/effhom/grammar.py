@@ -10,9 +10,10 @@ prints as ``(5, 7)``), coefficients ``1`` and ``-1`` are elided, terms are
 printed in ascending generator order, and nested pairs print flat:
 ``((a, b), c)`` renders as ``(a, b, c)``.
 
-Parsing is guided by the target module: the text is matched leaf-for-leaf
-against the module's direct-sum tree, so flat and nested spellings are
-both accepted as long as the leaves line up.
+Parsing is guided by the target module: the parser yields the text's
+leaves as one flat list, whatever its parenthesization, and they are
+matched in order against the module's leaves (``modules.leaves``), so flat
+and nested spellings are both accepted as long as the leaves line up.
 """
 
 from __future__ import annotations
@@ -21,42 +22,21 @@ import re
 
 from .errors import MembershipError, ParseError
 from .modules import (
-    Comb,
-    DirectSum,
-    Element,
-    FiniteFree,
-    FreeModule,
-    Pair,
-    _comb_text,
-    normalize,
+    Comb, Element, FreeModule, Z, _comb_text, join, leaves, normalize, split
 )
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<gen>x\d+)|(?P<punct>[(),+*-]))")
 
-_RANK_ONE = FiniteFree(1)
-
 
 def format_element(element: Element, desc: FreeModule) -> str:
     """Canonical text of ``element`` as a member of ``desc``."""
-    pieces: list[str] = []
-    _collect(element, desc, pieces)
+    pieces = []
+    for leaf, part in split(element, desc):
+        leaf.require(part)
+        pieces.append(str(part.coefficient(0)) if leaf == Z else _comb_text(part.terms))
     if len(pieces) == 1:
         return pieces[0]
     return "(" + ", ".join(pieces) + ")"
-
-
-def _collect(element, desc, out):
-    if isinstance(desc, DirectSum):
-        if not isinstance(element, Pair):
-            raise MembershipError(f"{element!r} is not a member of {desc}")
-        _collect(element.left, desc.left, out)
-        _collect(element.right, desc.right, out)
-        return
-    desc.require(element)
-    if desc == _RANK_ONE:
-        out.append(str(element.coefficient(0)))
-    else:
-        out.append(_comb_text(element.terms))
 
 
 def parse_element(text: str, desc: FreeModule) -> Element:
@@ -65,58 +45,34 @@ def parse_element(text: str, desc: FreeModule) -> Element:
     Raises ``ParseError`` for bad syntax and ``MembershipError`` when the
     shape or the generators do not fit the module.
     """
-    node = _Parser(text).parse()
-    leaves: list[FreeModule] = []
-    _desc_leaves(desc, leaves)
-    flat: list[object] = []
-    _node_leaves(node, flat)
-    if len(flat) != len(leaves):
+    flat = _Parser(text).parse()
+    shape = leaves(desc)
+    if len(flat) != len(shape):
         raise MembershipError(
-            f"element has {len(flat)} component(s) but {desc} expects {len(leaves)}"
+            f"element has {len(flat)} component(s) but {desc} expects {len(shape)}"
         )
-    it = iter(flat)
-    return _assemble(desc, it)
+    return join(desc, map(_leaf_value, shape, flat))
 
 
-def _desc_leaves(desc, out):
-    if isinstance(desc, DirectSum):
-        _desc_leaves(desc.left, out)
-        _desc_leaves(desc.right, out)
-    else:
-        out.append(desc)
-
-
-def _node_leaves(node, out):
+def _leaf_value(leaf: FreeModule, node) -> Comb:
     kind, payload = node
-    if kind == "tuple":
-        for child in payload:
-            _node_leaves(child, out)
-    else:
-        out.append(node)
-
-
-def _assemble(desc, leaf_iter) -> Element:
-    if isinstance(desc, DirectSum):
-        left = _assemble(desc.left, leaf_iter)
-        right = _assemble(desc.right, leaf_iter)
-        return Pair(left, right)
-    kind, payload = next(leaf_iter)
     if kind == "int":
         if payload == 0:
             return Comb(())
-        if desc != _RANK_ONE:
+        if leaf != Z:
             raise MembershipError(
-                f"a bare integer denotes a rank-one combination, not a member of {desc}"
+                f"a bare integer denotes a rank-one combination, not a member of {leaf}"
             )
-        return normalize([(payload, 0)], desc)
-    return normalize(payload, desc)
+        return normalize([(payload, 0)], leaf)
+    return normalize(payload, leaf)
 
 
 class _Parser:
-    """Recursive-descent parser producing tagged nodes.
+    """Recursive-descent parser producing the flat list of leaf nodes.
 
-    Nodes are ``("tuple", children)``, ``("comb", terms)`` with terms a
-    list of ``(coefficient, generator)`` pairs, or ``("int", value)``.
+    A leaf node is ``("comb", terms)`` with terms a list of
+    ``(coefficient, generator)`` pairs, or ``("int", value)``; tuples only
+    group leaves and leave no node of their own.
     """
 
     def __init__(self, text):
@@ -154,25 +110,28 @@ class _Parser:
         return token
 
     def parse(self):
-        node = self._element()
+        out: list = []
+        self._element(out)
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input in element text {self.text!r}")
-        return node
+        return out
 
-    def _element(self):
-        if self._peek() == "(":
+    def _element(self, out):
+        if self._peek() != "(":
+            out.append(self._comb_or_int())
+            return
+        self._next()
+        self._element(out)
+        components = 1
+        while self._peek() == ",":
             self._next()
-            children = [self._element()]
-            while self._peek() == ",":
-                self._next()
-                children.append(self._element())
-            kind, _ = self._next()
-            if kind != ")":
-                raise ParseError("expected ')' in element text")
-            if len(children) < 2:
-                raise ParseError("a tuple needs at least two components")
-            return ("tuple", children)
-        return self._comb_or_int()
+            self._element(out)
+            components += 1
+        kind, _ = self._next()
+        if kind != ")":
+            raise ParseError("expected ')' in element text")
+        if components < 2:
+            raise ParseError("a tuple needs at least two components")
 
     def _comb_or_int(self):
         sign = 1

@@ -22,15 +22,7 @@ from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
-from .modules import (
-    Comb,
-    DirectSum,
-    Element,
-    FiniteFree,
-    FreeModule,
-    Pair,
-    generator,
-)
+from .modules import Element, FiniteFree, FreeModule, generator, join, leaves, split
 from .reduction import EffectiveHomology
 from .snf import IntMatrix, invariant_factors
 
@@ -71,45 +63,43 @@ class HomologyGroup:
         return " + ".join(parts)
 
 
+def _rank(leaf: FreeModule) -> int:
+    if not isinstance(leaf, FiniteFree):
+        raise NotFiniteTypeError(f"{leaf} is not of finite type")
+    return leaf.rank
+
+
 def module_rank(desc: FreeModule) -> int:
-    if isinstance(desc, FiniteFree):
-        return desc.rank
-    if isinstance(desc, DirectSum):
-        return module_rank(desc.left) + module_rank(desc.right)
-    raise NotFiniteTypeError(f"{desc} is not of finite type")
+    return sum(_rank(leaf) for leaf in leaves(desc))
 
 
 def enumerate_basis(desc: FreeModule) -> list[Element]:
     """Ordered basis of a finite-type module.
 
-    A finite free module lists x0 .. x{k-1}; a direct sum lists the left
-    basis injected on the left, then the right basis injected on the
-    right.
+    The generators x0 .. x{k-1} of each leaf in turn, left to right, each
+    injected with every other leaf zero; so a direct sum lists the left
+    basis injected on the left, then the right basis injected on the right.
     """
-    if isinstance(desc, FiniteFree):
-        return [generator(i) for i in range(desc.rank)]
-    if isinstance(desc, DirectSum):
-        lz, rz = desc.left.zero(), desc.right.zero()
-        basis = [Pair(e, rz) for e in enumerate_basis(desc.left)]
-        basis.extend(Pair(lz, e) for e in enumerate_basis(desc.right))
-        return basis
-    raise NotFiniteTypeError(f"{desc} is not of finite type")
+    shape = leaves(desc)
+    parts = [leaf.zero() for leaf in shape]
+    basis = []
+    for k, leaf in enumerate(shape):
+        for g in range(_rank(leaf)):
+            parts[k] = generator(g)
+            basis.append(join(desc, iter(parts)))
+        parts[k] = leaf.zero()
+    return basis
 
 
 def element_coordinates(element: Element, desc: FreeModule) -> list[int]:
-    """Dense coordinates of a member of a finite-type module."""
-    if isinstance(desc, FiniteFree):
-        assert isinstance(element, Comb)
-        coords = [0] * desc.rank
-        for g, c in element.terms:
-            coords[g] = c
-        return coords
-    if isinstance(desc, DirectSum):
-        assert isinstance(element, Pair)
-        coords = element_coordinates(element.left, desc.left)
-        coords.extend(element_coordinates(element.right, desc.right))
-        return coords
-    raise NotFiniteTypeError(f"{desc} is not of finite type")
+    """Dense coordinates of a member of a finite-type module, leaf by leaf."""
+    coords: list[int] = []
+    for leaf, part in split(element, desc):
+        row = [0] * _rank(leaf)
+        for g, c in part.terms:
+            row[g] = c
+        coords.extend(row)
+    return coords
 
 
 def differential_matrix(cc: ChainComplex, i: int) -> IntMatrix:

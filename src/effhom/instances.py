@@ -26,11 +26,10 @@ from .complexes import (
 )
 from .cone import cone_effective_homology
 from .errors import LawViolationError
-from .modules import COUNTABLE, Z, Comb, generator
+from .modules import COUNTABLE, Z, Comb
 from .morphisms import (
     ModMorphism,
     direct_sum_map,
-    from_generator_images,
     identity,
     pair,
     proj1,
@@ -93,8 +92,10 @@ def fcc1() -> ChainComplex:
 def _parity_map(i: int) -> ModMorphism:
     """On x0, x1, ...: keep the generators of the parity of ``i``, kill the rest."""
     keep = i % 2
-    return from_generator_images(
-        COUNTABLE, COUNTABLE, lambda j: generator(j) if j % 2 == keep else Comb(())
+    return ModMorphism(
+        COUNTABLE,
+        COUNTABLE,
+        lambda e: Comb(tuple(t for t in e.terms if t[0] % 2 == keep)),
     )
 
 

@@ -10,7 +10,12 @@ Elements are kept canonical at all times: a combination stores
 indices and no zero coefficient, and a direct-sum element is a ``Pair`` of
 members of the two sides.  Equality of elements is therefore plain
 structural equality, and coefficients are Python integers, so arithmetic
-is exact at every size.
+is exact at every size.  As generators rise strictly from x0 up, the first
+and last terms bound the others: ``FiniteFree.contains`` reads only those.
+
+A member of a direct sum is one combination per *leaf* (combination-shaped
+summand), left to right: ``(Z (+) Z[N]) (+) Z`` has leaves Z, Z[N], Z.
+``leaves``, ``split`` and ``join`` are the one walk of that shape.
 
 >>> e = normalize([(7, 4), (8, 0)], COUNTABLE)
 >>> e
@@ -24,7 +29,7 @@ is exact at every size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MembershipError
 
@@ -66,9 +71,10 @@ class FiniteFree(FreeModule):
         return Comb(())
 
     def contains(self, element) -> bool:
-        return isinstance(element, Comb) and all(
-            0 <= g < self.rank for g, _ in element.terms
-        )
+        if not isinstance(element, Comb):
+            return False
+        terms = element.terms
+        return not terms or (terms[0][0] >= 0 and terms[-1][0] < self.rank)
 
     def __str__(self):
         if self.rank == 0:
@@ -282,3 +288,26 @@ def normalize(raw_terms: Iterable[tuple[int, int]], desc: FreeModule) -> Comb:
             raise MembershipError(f"generator x{g} is not valid for {desc}")
         acc[g] = acc.get(g, 0) + c
     return Comb(tuple((g, acc[g]) for g in sorted(acc) if acc[g]))
+
+
+def leaves(desc: FreeModule) -> list[FreeModule]:
+    """The combination-shaped summands of ``desc``, left to right."""
+    if not isinstance(desc, DirectSum):
+        return [desc]
+    return leaves(desc.left) + leaves(desc.right)
+
+
+def split(element: Element, desc: FreeModule) -> list[tuple[FreeModule, Element]]:
+    """``(leaf, combination)`` pairs in leaf order; only sums are checked."""
+    if not isinstance(desc, DirectSum):
+        return [(desc, element)]
+    if not isinstance(element, Pair):
+        raise MembershipError(f"{element!r} is not a member of {desc}")
+    return split(element.left, desc.left) + split(element.right, desc.right)
+
+
+def join(desc: FreeModule, parts: Iterator[Element]) -> Element:
+    """The member of ``desc`` whose leaf combinations ``parts`` yields in order."""
+    if not isinstance(desc, DirectSum):
+        return next(parts)
+    return Pair(join(desc.left, parts), join(desc.right, parts))

@@ -31,6 +31,7 @@ from .complexes import (
     FiniteTypeEvidence,
     is_finite_type_complex,
     null_complex,
+    zero_chain_morphism,
 )
 from .errors import (
     LawViolationError,
@@ -216,7 +217,6 @@ def acyclic_to_null_effective_homology(
             report,
         )
     null = null_complex()
-    f = ChainMorphism(cc, null, lambda i: zero_map(cc.module_at(i), null.module_at(i)))
-    g = ChainMorphism(null, cc, lambda i: zero_map(null.module_at(i), cc.module_at(i)))
+    f, g = zero_chain_morphism(cc, null), zero_chain_morphism(null, cc)
     reduction = Reduction(cc, null, f, g, h)
     return effective_homology(reduction)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .modules import Comb, DirectSum, Element, FiniteFree, FreeModule, Pair
+from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,10 @@ class Sampler:
         return [self.element(rng, desc) for _ in range(self.samples)]
 
     def element(self, rng: random.Random, desc: FreeModule) -> Element:
-        if isinstance(desc, DirectSum):
-            left = self.element(rng, desc.left)
-            right = self.element(rng, desc.right)
-            return Pair(left, right)
+        """One member of ``desc``, its leaves drawn left to right."""
+        return join(desc, (self._combination(rng, leaf) for leaf in leaves(desc)))
+
+    def _combination(self, rng: random.Random, desc: FreeModule) -> Comb:
         if isinstance(desc, FiniteFree):
             population = desc.rank
         else:

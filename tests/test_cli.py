@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from effhom.cli import main
+from effhom.cli import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -243,6 +243,34 @@ class TestList:
         data = json.loads(out)
         assert {e["id"] for e in data["instances"]} >= {"cc1", "cone-example"}
         assert {h["id"] for h in data["homotopies"]} == {"hcc2", "h1", "h2", "htop"}
+
+
+class TestSharedParser:
+    """One parser serves every call of a process; no call leaks into the next."""
+
+    CHECK = ("check", "cc2", "nilpotency", "--degrees", "-2..2")
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "between, code",
+        [
+            ((), None),
+            (("check", "--help"), 0),
+            (("check", "cc2"), 2),
+            (("check", "cc2", "nilpotency", "--seed", "x"), 2),
+        ],
+    )
+    def test_options_do_not_carry_over(self, capsys, between, code):
+        build_parser.cache_clear()
+        alone = run_cli(capsys, *self.CHECK)
+        build_parser.cache_clear()
+        seeded = run_cli(capsys, *self.CHECK, "--seed", "3", "--samples", "4")
+        assert seeded[0] == 0 and seeded[1] != alone[1]
+        if between:
+            assert run_cli(capsys, *between)[0] == code
+        assert run_cli(capsys, *self.CHECK) == alone
 
 
 def test_module_entry_point_subprocess():

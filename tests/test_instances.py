@@ -1,5 +1,8 @@
 """The shipped catalog: every instance behaves as documented."""
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from effhom import (
     COUNTABLE,
     ZERO,
@@ -10,7 +13,10 @@ from effhom import (
     check_contracting,
     check_nilpotency,
     check_reduction_laws,
+    from_generator_images,
+    generator,
     is_finite_type_complex,
+    normalize,
     parse_element,
 )
 from effhom.instances import (
@@ -104,6 +110,26 @@ class TestCC2:
 
     def test_infinite_type(self):
         assert not is_finite_type_complex(cc2(), WINDOW)
+
+
+def parity_reference(i):
+    """The parity map of degree i defined on generators."""
+    return from_generator_images(
+        COUNTABLE, COUNTABLE, lambda j: generator(j) if j % 2 == i % 2 else Comb(())
+    )
+
+
+@given(
+    st.integers(-9, 9),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 40)), max_size=8),
+)
+@example(i=0, raw=[])
+@example(i=1, raw=[])
+def test_parity_maps_match_generator_images(i, raw):
+    e = normalize(raw, COUNTABLE)
+    expected = parity_reference(i)(e)
+    assert cc2().diff_at(i)(e) == expected
+    assert hcc2().at(i)(e) == expected
 
 
 class TestHcc2:

@@ -16,6 +16,7 @@ from effhom import (
     generator,
     normalize,
 )
+from effhom.modules import join, leaves, split
 
 ZZ = DirectSum(Z, Z)
 
@@ -69,6 +70,47 @@ class TestNormalize:
             normalize([(1, -1)], COUNTABLE)
         with pytest.raises(MembershipError):
             normalize([(1, 0)], ZZ)
+
+
+CONE_SHAPE = DirectSum(DirectSum(Z, COUNTABLE), Z)
+NESTED = [
+    (Z, comb((0, 4))),
+    (ZZ, Pair(comb((0, 1)), comb())),
+    (CONE_SHAPE, Pair(Pair(comb((0, -10)), comb((0, -8), (4, -7))), comb((0, 5)))),
+    (
+        DirectSum(ZZ, DirectSum(COUNTABLE, DirectSum(ZERO, FiniteFree(3)))),
+        Pair(Pair(comb(), comb((0, 2))), Pair(comb((9, 1)), Pair(comb(), comb((2, -3))))),
+    ),
+]
+
+
+class TestLeafWalk:
+    def test_leaves_left_to_right(self):
+        assert leaves(COUNTABLE) == [COUNTABLE]
+        assert leaves(CONE_SHAPE) == [Z, COUNTABLE, Z]
+        assert leaves(DirectSum(Z, DirectSum(ZERO, COUNTABLE))) == [Z, ZERO, COUNTABLE]
+
+    @pytest.mark.parametrize("desc, e", NESTED)
+    def test_split_follows_leaves(self, desc, e):
+        assert [leaf for leaf, _ in split(e, desc)] == list(leaves(desc))
+
+    @pytest.mark.parametrize("desc, e", NESTED)
+    def test_join_inverts_split(self, desc, e):
+        assert join(desc, iter(p for _, p in split(e, desc))) == e
+
+    def test_split_order_of_parts(self):
+        e = NESTED[2][1]
+        assert [p for _, p in split(e, CONE_SHAPE)] == [
+            comb((0, -10)),
+            comb((0, -8), (4, -7)),
+            comb((0, 5)),
+        ]
+
+    def test_split_refuses_comb_for_pair(self):
+        with pytest.raises(MembershipError):
+            split(comb((0, 1)), ZZ)
+        with pytest.raises(MembershipError):
+            split(Pair(comb(), comb((0, 1))), DirectSum(Z, ZZ))
 
 
 class TestArithmetic:
@@ -151,3 +193,13 @@ def test_neg_involution(a):
 @given(st.integers(-20, 20), combs)
 def test_scale_distributes(c, a):
     assert c * a + a == (c + 1) * a
+
+
+@given(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 60)), max_size=8),
+)
+def test_finite_membership_reads_the_ends(rank, raw):
+    # the definition: every generator of the combination is below the rank
+    c = normalize(raw, COUNTABLE)
+    assert FiniteFree(rank).contains(c) == all(0 <= g < rank for g, _ in c.terms)
