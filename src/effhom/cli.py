@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -312,8 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader left early (``effhom check ... | head``).  Point stdout
+        # at devnull so the exit-time flush of what is left fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_normalize_argv(list(argv)))

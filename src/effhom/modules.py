@@ -13,6 +13,11 @@ structural equality, and coefficients are Python integers, so arithmetic
 is exact at every size.  As generators rise strictly from x0 up, the first
 and last terms bound the others: ``FiniteFree.contains`` reads only those.
 
+The public ``Comb(...)`` constructor checks the canonical form.  Results
+the library builds itself (sums, negatives, multiples, ``normalize``,
+sampled elements and generator-image applications) are canonical by
+construction, so they skip that check.
+
 A member of a direct sum is one combination per *leaf* (combination-shaped
 summand), left to right: ``(Z (+) Z[N]) (+) Z`` has leaves Z, Z[N], Z.
 ``leaves``, ``split`` and ``join`` are the one walk of that shape.
@@ -189,6 +194,13 @@ class Comb(Element):
                 raise ValueError("zero coefficients are not stored")
             prev = g
 
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, int], ...]) -> "Comb":
+        """``Comb(terms)`` without the check, for terms canonical by construction."""
+        comb = object.__new__(cls)
+        object.__setattr__(comb, "terms", terms)
+        return comb
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -199,12 +211,12 @@ class Comb(Element):
         return 0
 
     def __neg__(self):
-        return Comb(tuple((g, -c) for g, c in self.terms))
+        return Comb._canonical(tuple((g, -c) for g, c in self.terms))
 
     def _scaled(self, c):
         if c == 0:
-            return Comb(())
-        return Comb(tuple((g, c * v) for g, v in self.terms))
+            return Comb._canonical(())
+        return Comb._canonical(tuple((g, c * v) for g, v in self.terms))
 
     def __add__(self, other):
         if not isinstance(other, Comb):
@@ -230,7 +242,7 @@ class Comb(Element):
                 j += 1
         merged.extend(a[i:])
         merged.extend(b[j:])
-        return Comb(tuple(merged))
+        return Comb._canonical(tuple(merged))
 
     def __repr__(self):
         return _comb_text(self.terms)
@@ -287,7 +299,7 @@ def normalize(raw_terms: Iterable[tuple[int, int]], desc: FreeModule) -> Comb:
         if g < 0 or (isinstance(desc, FiniteFree) and g >= desc.rank):
             raise MembershipError(f"generator x{g} is not valid for {desc}")
         acc[g] = acc.get(g, 0) + c
-    return Comb(tuple((g, acc[g]) for g in sorted(acc) if acc[g]))
+    return Comb._canonical(tuple((g, acc[g]) for g in sorted(acc) if acc[g]))
 
 
 def leaves(desc: FreeModule) -> list[FreeModule]:

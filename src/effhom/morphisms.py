@@ -70,7 +70,8 @@ def identity(desc: FreeModule) -> ModMorphism:
 
 
 def zero_map(source: FreeModule, target: FreeModule) -> ModMorphism:
-    return ModMorphism(source, target, lambda e: target.zero())
+    zero = target.zero()  # elements are immutable, so one zero serves every call
+    return ModMorphism(source, target, lambda e: zero)
 
 
 def scaling(desc: FreeModule, factor: int) -> ModMorphism:
@@ -115,7 +116,9 @@ def from_generator_images(
                 raise MembershipError(f"image of x{g} is {image!r}, not a combination")
             for h, v in image.terms:
                 acc[h] = acc.get(h, 0) + c * v
-        return target.require(Comb(tuple((h, acc[h]) for h in sorted(acc) if acc[h])))
+        return target.require(
+            Comb._canonical(tuple((h, acc[h]) for h in sorted(acc) if acc[h]))
+        )
 
     return ModMorphism(source, target, act)
 

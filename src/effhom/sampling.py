@@ -5,6 +5,14 @@ decided, so they are tested on random elements.  Streams are derived from
 ``(seed, label)`` with the label naming the law and the degree, which
 keeps every (law, degree) sequence reproducible and independent of how
 checks are grouped or parallelized.
+
+A stream is defined by rejection on ``getrandbits``: a draw below ``n``
+takes ``n.bit_length()`` bits and redraws while the result is ``>= n``.
+That is how ``random`` implements ``randint`` and ``choice``, so the
+support size ``randint(1, s)`` and each coefficient
+``choice((1, -1)) * randint(1, bound)`` are the stdlib draws, value for
+value, without their call layers.  The generators of a combination come
+from ``rng.sample``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,15 @@ import random
 from dataclasses import dataclass
 
 from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves
+
+
+def _below(bits, n: int) -> int:
+    """Uniform in ``[0, n)`` for ``n > 0``, consuming ``bits`` as ``random`` does."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 @dataclass(frozen=True)
@@ -24,6 +41,16 @@ class Sampler:
     coeff_bound: int = 20
     max_support: int = 5
     max_generator: int = 16
+
+    def __post_init__(self):
+        for name, least in (
+            ("samples", 1),
+            ("coeff_bound", 1),
+            ("max_support", 1),
+            ("max_generator", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
     def elements(self, desc: FreeModule, label: str) -> list[Element]:
         rng = random.Random(f"{self.seed}|{label}")
@@ -39,10 +66,12 @@ class Sampler:
         else:
             population = self.max_generator + 1
         if population == 0:
-            return Comb(())
-        support = rng.randint(1, min(self.max_support, population))
-        gens = sorted(rng.sample(range(population), support))
-        return Comb(tuple((g, self._coefficient(rng)) for g in gens))
-
-    def _coefficient(self, rng: random.Random) -> int:
-        return rng.choice((1, -1)) * rng.randint(1, self.coeff_bound)
+            return Comb._canonical(())
+        bits, bound = rng.getrandbits, self.coeff_bound
+        support = 1 + _below(bits, min(self.max_support, population))
+        terms = []
+        for g in sorted(rng.sample(range(population), support)):
+            negative = _below(bits, 2)
+            magnitude = 1 + _below(bits, bound)
+            terms.append((g, -magnitude if negative else magnitude))
+        return Comb._canonical(tuple(terms))

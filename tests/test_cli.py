@@ -285,3 +285,26 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(-10, -8*x0-7*x4, 5)\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_closing_the_pipe_early_exits_1_quietly(fmt):
+    # the report is over 100 kB, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end after 100 bytes
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "effhom", "check", "cone-example", "reduction",
+         "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=env,
+        cwd=ROOT,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 100
+    assert err == b""

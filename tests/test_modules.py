@@ -1,5 +1,7 @@
 """Canonical elements and the module-level algebra."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from effhom import (
     FiniteFree,
     MembershipError,
     Pair,
+    Sampler,
+    from_generator_images,
     generator,
     normalize,
 )
@@ -203,3 +207,55 @@ def test_finite_membership_reads_the_ends(rank, raw):
     # the definition: every generator of the combination is below the rank
     c = normalize(raw, COUNTABLE)
     assert FiniteFree(rank).contains(c) == all(0 <= g < rank for g, _ in c.terms)
+
+
+def passes_the_constructor(e):
+    # the validating constructor accepts the terms and rebuilds the same value
+    assert Comb(e.terms) == e
+
+
+def folded(g):
+    """x(2k) -> x(k) and x(2k+1) -> -x(k), so images of paired generators cancel."""
+    return generator(g // 2) * (1 if g % 2 == 0 else -1)
+
+
+FOLD = from_generator_images(COUNTABLE, COUNTABLE, folded)
+
+
+def interleave(a, b):
+    """The combination whose fold is ``a - b``."""
+    raw = [(c, 2 * g) for g, c in a.terms] + [(c, 2 * g + 1) for g, c in b.terms]
+    return normalize(raw, COUNTABLE)
+
+
+@given(raw_terms, combs, combs, st.integers(-20, 20))
+def test_library_results_are_canonical(raw, a, b, c):
+    difference, cancelled = FOLD(interleave(a, b)), FOLD(interleave(a, a))
+    assert difference == a - b and cancelled.is_zero()
+    for e in (normalize(raw, COUNTABLE), a + b, a + (-a), -a, c * a, difference, cancelled):
+        passes_the_constructor(e)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 10**12),
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.sampled_from([ZERO, FiniteFree(3), COUNTABLE, CONE_SHAPE]),
+)
+def test_sampled_elements_are_canonical(seed, coeff_bound, support, max_gen, desc):
+    s = Sampler(coeff_bound=coeff_bound, max_support=support, max_generator=max_gen)
+    for _, part in split(s.element(random.Random(seed), desc), desc):
+        passes_the_constructor(part)
+
+
+@given(combs.filter(lambda e: len(e.terms) >= 2), st.data())
+def test_constructor_rejects_what_is_not_canonical(e, data):
+    terms = list(e.terms)
+    i = data.draw(st.integers(0, len(terms) - 2))
+    swapped = terms[:i] + [terms[i + 1], terms[i]] + terms[i + 2 :]
+    repeated = terms[: i + 1] + [terms[i]] + terms[i + 1 :]
+    zeroed = terms[:i] + [(terms[i][0], 0)] + terms[i + 1 :]
+    for bad in (swapped, repeated, zeroed):
+        with pytest.raises(ValueError):
+            Comb(tuple(bad))

@@ -1,0 +1,65 @@
+"""The sampled streams: ``Sampler`` draws what the stdlib draws would."""
+
+import random
+
+import pytest
+
+from effhom import COUNTABLE, Comb, DirectSum, FiniteFree, Pair, Sampler, Z
+
+SHAPES = {
+    "zero": FiniteFree(0),
+    "Z^3": FiniteFree(3),
+    "Z[N]": COUNTABLE,
+    "nested": DirectSum(DirectSum(Z, COUNTABLE), FiniteFree(40)),
+}
+
+#: (coeff_bound, max_support, max_generator)
+BOUNDS = {
+    "defaults": (20, 5, 16),
+    "wide": (10**12, 200, 1000),
+    "ones": (1, 1, 0),
+    "odd": (3, 7, 5),
+}
+
+
+def reference_element(rng, desc, s):
+    """The stream as written with ``randint``, ``choice`` and ``sample``."""
+    if isinstance(desc, DirectSum):
+        left = reference_element(rng, desc.left, s)
+        return Pair(left, reference_element(rng, desc.right, s))
+    population = desc.rank if isinstance(desc, FiniteFree) else s.max_generator + 1
+    if population == 0:
+        return Comb(())
+    support = rng.randint(1, min(s.max_support, population))
+    gens = sorted(rng.sample(range(population), support))
+    return Comb(
+        tuple((g, rng.choice((1, -1)) * rng.randint(1, s.coeff_bound)) for g in gens)
+    )
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("bounds", BOUNDS)
+def test_stream_equals_stdlib_draws(bounds, shape):
+    coeff_bound, max_support, max_generator = BOUNDS[bounds]
+    desc = SHAPES[shape]
+    samples = 8 if bounds == "wide" else 32  # wide elements hold hundreds of terms
+    for seed in range(50):
+        s = Sampler(
+            seed=seed,
+            samples=samples,
+            coeff_bound=coeff_bound,
+            max_support=max_support,
+            max_generator=max_generator,
+        )
+        rng = random.Random(f"{seed}|law@3")
+        expected = [reference_element(rng, desc, s) for _ in range(samples)]
+        assert s.elements(desc, "law@3") == expected, (seed, bounds, shape)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", 0), ("coeff_bound", 0), ("max_support", 0), ("max_generator", -1)],
+)
+def test_bad_bound_raises_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        Sampler(**{field: value})
