@@ -39,6 +39,7 @@ from .errors import (
 from .grammar import format_element, parse_element
 from .homology import (
     HomologyGroup,
+    differential_columns,
     differential_matrix,
     element_coordinates,
     enumerate_basis,

@@ -5,10 +5,17 @@ degree i.  Its free rank is n_i - rank d(i-1) - rank d(i).  Its torsion
 is the torsion of coker d(i) = C_i / im d(i), which the invariant factors
 of d(i) greater than one give: the homology sits inside coker d(i) with
 quotient C_i / ker d(i-1), which embeds in the free C_(i-1), so the two
-share their torsion and no basis of the kernel is ever needed.  Both
-matrices go through ``invariant_factors`` only, and their product checks
-exactly that d(i-1) d(i) = 0.  ``homology_window`` factors each
-differential once per call, however many degrees of the window use it.
+share their torsion and no basis of the kernel is ever needed.
+
+A differential is kept sparse from the generator images to the invariant
+factors: ``differential_columns`` reads one ``{row: entry}`` column per
+basis element from the terms of its validated image, the columns go to the
+elimination as rows (a matrix and its transpose share their invariant
+factors), and d(i-1) d(i) = 0 is checked exactly, column by column, as a
+sum of columns of d(i-1).  So the work follows the nonzero entries, not
+rows x cols.  ``homology_window`` builds and factors each differential
+once per call, however many degrees of the window use it;
+``differential_matrix`` is the dense view of the same columns.
 For a complex that reduces onto a finite-type bottom, the homology of the
 top *is* the homology of the bottom: that transfer is the whole point of
 an effective homology.
@@ -17,14 +24,13 @@ an effective homology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
 from .modules import Element, FiniteFree, FreeModule, generator, join, leaves, split
 from .reduction import EffectiveHomology
-from .snf import IntMatrix, invariant_factors
+from .snf import IntMatrix, _sparse_invariant_factors
 
 
 @dataclass(frozen=True)
@@ -102,26 +108,77 @@ def element_coordinates(element: Element, desc: FreeModule) -> list[int]:
     return coords
 
 
-def differential_matrix(cc: ChainComplex, i: int) -> IntMatrix:
-    """Matrix of d(i) with column j the image of the j-th basis element."""
-    source = cc.module_at(i + 1)
+def differential_columns(cc: ChainComplex, i: int) -> tuple[int, list[dict[int, int]]]:
+    """The row count and the sparse columns of d(i), one per basis element.
+
+    Column j maps row to entry for the image of the j-th basis element of
+    degree i + 1, read from the terms of each leaf of the image at that
+    leaf's offset in the target; zero entries are absent.
+
+    >>> from effhom.instances import fcc1
+    >>> differential_columns(fcc1(), 0)
+    (1, [{0: 2}])
+    >>> differential_columns(fcc1(), 1)
+    (1, [{}])
+    """
     target = cc.module_at(i)
+    offsets = []
+    rows = 0
+    for leaf in leaves(target):
+        offsets.append(rows)
+        rows += _rank(leaf)
     d = cc.diff_at(i)
-    columns = [element_coordinates(d(b), target) for b in enumerate_basis(source)]
-    # zip(*columns) reads the rows; with no rows or no columns it is empty
-    entries = tuple(chain.from_iterable(zip(*columns)))
-    return IntMatrix(module_rank(target), module_rank(source), entries)
+    columns = []
+    for b in enumerate_basis(cc.module_at(i + 1)):
+        column: dict[int, int] = {}
+        for offset, (_, part) in zip(offsets, split(d(b), target)):
+            if offset:
+                for g, c in part.terms:
+                    column[offset + g] = c
+            else:
+                column.update(part.terms)
+        columns.append(column)
+    return rows, columns
+
+
+def differential_matrix(cc: ChainComplex, i: int) -> IntMatrix:
+    """Dense matrix of d(i) with column j the image of the j-th basis element."""
+    rows, columns = differential_columns(cc, i)
+    cols = len(columns)
+    entries = [0] * (rows * cols)
+    for j, column in enumerate(columns):
+        for r, x in column.items():
+            entries[r * cols + j] = x
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+def _composes_to_zero(
+    incoming: list[dict[int, int]], outgoing: list[dict[int, int]]
+) -> bool:
+    """Whether d(i-1) d(i) = 0, given the columns of d(i-1) and of d(i).
+
+    Column j of the product is the sum over k of b_k times column k of
+    d(i-1), where b is column j of d(i); each is summed exactly.
+    """
+    for column in outgoing:
+        acc: dict[int, int] = {}
+        for k, b in column.items():
+            for r, a in incoming[k].items():
+                acc[r] = acc.get(r, 0) + b * a
+        if any(acc.values()):
+            return False
+    return True
 
 
 def homology_window(cc: ChainComplex, degrees: Iterable[int]) -> list[HomologyGroup]:
     """The homology at each of ``degrees``, in order.
 
-    Each degree needs finite type at i-1, i and i+1.  The matrix of each
+    Each degree needs finite type at i-1, i and i+1.  The columns of each
     differential and its invariant factors are kept for the span of this
     call, so a window of consecutive degrees builds and factors every d(i)
     once, not once as the outgoing and again as the incoming map.
     """
-    factored: dict[int, tuple[IntMatrix, tuple[int, ...]]] = {}
+    factored: dict[int, tuple[list[dict[int, int]], tuple[int, ...]]] = {}
     groups = []
     for i in degrees:
         for j in (i - 1, i, i + 1):
@@ -132,15 +189,18 @@ def homology_window(cc: ChainComplex, degrees: Iterable[int]) -> list[HomologyGr
                 )
         for j in (i - 1, i):
             if j not in factored:
-                matrix = differential_matrix(cc, j)
-                factored[j] = (matrix, invariant_factors(matrix))
+                _, columns = differential_columns(cc, j)
+                # the columns as rows: A transposed has the factors of A; the
+                # elimination consumes its rows, and the columns are read again
+                rows = {k: dict(column) for k, column in enumerate(columns) if column}
+                factored[j] = (columns, _sparse_invariant_factors(rows))
         incoming, in_factors = factored[i - 1]
         outgoing, out_factors = factored[i]
-        if any((incoming @ outgoing).entries):
+        if not _composes_to_zero(incoming, outgoing):
             raise HomAlgError(f"differentials do not compose to zero around degree {i}")
         groups.append(
             HomologyGroup(
-                betti_rank=incoming.cols - len(in_factors) - len(out_factors),
+                betti_rank=len(incoming) - len(in_factors) - len(out_factors),
                 torsion=tuple(f for f in out_factors if f > 1),
             )
         )

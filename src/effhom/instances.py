@@ -95,7 +95,8 @@ def _parity_map(i: int) -> ModMorphism:
     return ModMorphism(
         COUNTABLE,
         COUNTABLE,
-        lambda e: Comb(tuple(t for t in e.terms if t[0] % 2 == keep)),
+        # a subsequence of canonical terms is canonical
+        lambda e: Comb._canonical(tuple(t for t in e.terms if t[0] % 2 == keep)),
     )
 
 

@@ -69,9 +69,16 @@ class Sampler:
             return Comb._canonical(())
         bits, bound = rng.getrandbits, self.coeff_bound
         support = 1 + _below(bits, min(self.max_support, population))
+        width = bound.bit_length()
         terms = []
         for g in sorted(rng.sample(range(population), support)):
-            negative = _below(bits, 2)
-            magnitude = 1 + _below(bits, bound)
+            # _below(bits, 2), then _below(bits, bound), written out per term
+            negative = bits(2)
+            while negative >= 2:
+                negative = bits(2)
+            magnitude = bits(width)
+            while magnitude >= bound:
+                magnitude = bits(width)
+            magnitude += 1
             terms.append((g, -magnitude if negative else magnitude))
         return Comb._canonical(tuple(terms))

@@ -1,12 +1,14 @@
 """Smith normal form and invariant factors of integer matrices, exactly.
 
 ``invariant_factors`` returns the nonzero diagonal of the Smith normal
-form, d1 | d2 | ..., and tracks no transforms.  It first takes every
-+-1 pivot by sparse row elimination: pivoting on a unit entry and
-clearing its column leaves the Schur complement, and the pivot adds a
-factor 1.  Boundary matrices of cell complexes are sparse with +-1
-entries, so this leaves a tiny dense remainder, or none (the approach of
-sparse integer SNF, Dumas-Saunders-Villard 2001).
+form, d1 | d2 | ..., and tracks no transforms.  Its core works on sparse
+rows, ``{row: {column: entry}}``, which the homology computation builds
+directly; the public function only turns a dense ``IntMatrix`` into them.
+The core first takes every +-1 pivot by sparse row elimination: pivoting
+on a unit entry and clearing its column leaves the Schur complement, and
+the pivot adds a factor 1.  Boundary matrices of cell complexes are
+sparse with +-1 entries, so this leaves a tiny dense remainder, or none
+(the approach of sparse integer SNF, Dumas-Saunders-Villard 2001).
 
 ``smith_normal_form`` also returns unimodular U (rows x rows) and V
 (cols x cols) with U * A * V = D.  It runs the same dense elimination on
@@ -136,6 +138,17 @@ def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
         row = {j: x for j, x in enumerate(matrix.row(i)) if x}
         if row:
             rows[i] = row
+    return _sparse_invariant_factors(rows)
+
+
+def _sparse_invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """Invariant factors of the matrix whose nonzero entries ``rows`` holds.
+
+    ``rows`` maps a row index to that row's ``{column: entry}``, with no
+    zero entries; the rows are consumed.  Row and column indices only
+    name lines, so any matrix with the same entries up to the order of
+    its rows and columns, or its transpose, has the same factors.
+    """
     units = _eliminate_unit_pivots(rows)
     columns = sorted({j for row in rows.values() for j in row})
     remainder = [[row.get(j, 0) for j in columns] for row in rows.values()]

@@ -1,5 +1,6 @@
 """Command line behaviors: transcripts, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,24 @@ class TestHomology:
                 {"degree": 1, "group": "0"},
             ]
         }
+
+    def test_catalog_transcripts_are_pinned(self, capsys):
+        # every catalog instance with homology, over a short and a long
+        # window in both formats; the digest was taken before the homology
+        # computation went sparse, so any changed byte shows here
+        digest = hashlib.sha256()
+        for ident in (
+            "null", "cc1", "fcc1", "idz2x0", "zxznat",
+            "cone-example", "cone-example.bottom",
+        ):
+            for window in ("-8..8", "-200..200"):
+                for fmt in ("text", "json"):
+                    code, out, _ = run_cli(capsys, "homology", ident, window, "--format", fmt)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "c1b2695db975230f7523adf2c4e463b7c1a5c671d0c351fba054cca6c966c981"
+        )
 
 
 class TestUsageErrors:

@@ -16,8 +16,11 @@ Expected groups are frozen from hand kernel/image computations:
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import effhom.homology
 from effhom import (
@@ -31,17 +34,17 @@ from effhom import (
     HomAlgError,
     HomologyGroup,
     IntMatrix,
+    ModMorphism,
     NotFiniteTypeError,
     Pair,
     differential_matrix,
     direct_sum_complex,
     enumerate_basis,
-    from_generator_images,
     homology_at,
     homology_via_effective_homology,
     homology_window,
+    invariant_factors,
     module_rank,
-    normalize,
     zero_map,
 )
 from effhom.instances import (
@@ -162,26 +165,53 @@ class TestBasisOrderInvariance:
             assert homology_at(left, i) == homology_at(right, i), i
 
 
-def finite_complex(ranks, matrices):
-    """Complex with ``ranks[k]`` generators in degree k, zero elsewhere.
+def size(desc):
+    """The rank of a finite-type module, summed over its leaves."""
+    if isinstance(desc, DirectSum):
+        return size(desc.left) + size(desc.right)
+    return desc.rank
 
+
+def coordinates(element, desc):
+    """Dense coordinates of ``element``, leaf by leaf, left to right."""
+    if isinstance(desc, DirectSum):
+        return coordinates(element.left, desc.left) + coordinates(element.right, desc.right)
+    x = [0] * desc.rank
+    for g, c in element.terms:
+        x[g] = c
+    return x
+
+
+def from_coordinates(x, desc):
+    if isinstance(desc, DirectSum):
+        n = size(desc.left)
+        return Pair(from_coordinates(x[:n], desc.left), from_coordinates(x[n:], desc.right))
+    return Comb(tuple((g, c) for g, c in enumerate(x) if c))
+
+
+def finite_complex(modules, matrices):
+    """Complex with ``modules[k]`` in degree k, zero elsewhere.
+
+    An entry of ``modules`` is a module description or a rank.
     ``matrices[k]`` lists the rows of d(k): C_(k+1) -> C_k, so column j is
-    the image of the j-th generator of degree k + 1.
+    the image of the j-th basis element of degree k + 1.
     """
+    modules = [FiniteFree(m) if isinstance(m, int) else m for m in modules]
 
     def module(i):
-        return FiniteFree(ranks[i] if 0 <= i < len(ranks) else 0)
+        return modules[i] if 0 <= i < len(modules) else ZERO
 
     def diff(i):
         source, target = module(i + 1), module(i)
         if not 0 <= i < len(matrices):
             return zero_map(source, target)
         rows = matrices[i]
-        return from_generator_images(
-            source,
-            target,
-            lambda j: normalize([(row[j], r) for r, row in enumerate(rows)], target),
-        )
+
+        def act(e):
+            x = coordinates(e, source)
+            return from_coordinates([sum(a * b for a, b in zip(row, x)) for row in rows], target)
+
+        return ModMorphism(source, target, act)
 
     return ChainComplex(module, diff, declared_finite_type=True)
 
@@ -265,25 +295,200 @@ class TestKnownAnswers:
             homology_at(cc, 1)
 
 
+# -- prescribed homology ----------------------------------------------------
+#
+# A complex with a known answer is a direct sum of the elementary complexes
+# Z in one degree (a free class), Z --m--> Z across two degrees (Z/m in the
+# lower one, nothing when m = 1) and 0, with the basis of each degree then
+# changed by a seeded product of elementary unimodular matrices.  A basis
+# change P in degree k multiplies d(k-1) by P on the right and d(k) by P^-1
+# on the left, so d(k-1) d(k) stays zero and the groups stay the prescribed
+# ones.
+
+
+def torsion_chain(orders):
+    """Invariant factors of Z/m1 + Z/m2 + ..., as Z/a + Z/b = Z/gcd + Z/lcm."""
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(x for x in d if x > 1)
+
+
+def prescribed(length, free, arrows, rng, mixes):
+    """Ranks, matrices and groups of degrees 0 .. length - 1.
+
+    ``free`` lists the degree of each Z; ``arrows`` holds ``(k, m)`` for each
+    Z --m--> Z from degree k + 1 to degree k.
+    """
+    ranks = [0] * length
+
+    def new(k):
+        ranks[k] += 1
+        return ranks[k] - 1
+
+    for k in free:
+        new(k)
+    entries = [(k, new(k), new(k + 1), m) for k, m in arrows]
+    matrices = [[[0] * ranks[k + 1] for _ in range(ranks[k])] for k in range(length - 1)]
+    for k, r, c, m in entries:
+        matrices[k][r][c] = m
+    for _ in range(mixes):
+        k = rng.randrange(length)
+        if ranks[k] < 2:
+            continue
+        a, b = rng.sample(range(ranks[k]), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        # P = I + q E(b, a): column a += q column b, then row b -= q row a
+        if k > 0:
+            for row in matrices[k - 1]:
+                row[a] += q * row[b]
+        if k < length - 1:
+            m = matrices[k]
+            m[b] = [x - q * y for x, y in zip(m[b], m[a])]
+    groups = [
+        HomologyGroup(free.count(k), torsion_chain(m for j, m in arrows if j == k))
+        for k in range(length)
+    ]
+    return ranks, matrices, groups
+
+
+def nested(sizes, rng):
+    """A direct sum of ``FiniteFree`` leaves of these ranks, in a seeded nesting."""
+    if len(sizes) == 1:
+        return FiniteFree(sizes[0])
+    cut = rng.randrange(1, len(sizes))
+    return DirectSum(nested(sizes[:cut], rng), nested(sizes[cut:], rng))
+
+
+@st.composite
+def prescribed_complexes(draw):
+    """(modules, matrices, groups) of a prescribed complex on degrees 0 .. n - 1.
+
+    Each module is a direct sum of up to four leaves, zero leaves included.
+    """
+    length = draw(st.integers(1, 5))
+    free = draw(st.lists(st.integers(0, length - 1), max_size=4))
+    arrows = []
+    if length > 1:
+        arrows = draw(
+            st.lists(st.tuples(st.integers(0, length - 2), st.integers(1, 12)), max_size=6)
+        )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ranks, matrices, groups = prescribed(length, free, arrows, rng, 4 * (len(free) + len(arrows)))
+    modules = []
+    for rank in ranks:
+        cuts = sorted(draw(st.lists(st.integers(0, rank), max_size=3)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [rank])]
+        modules.append(nested(sizes, rng))
+    return modules, matrices, groups
+
+
+def reference_matrix(cc, i):
+    """d(i) densely: the image of each basis vector, in coordinates."""
+    source, target = cc.module_at(i + 1), cc.module_at(i)
+    n = size(source)
+    d = cc.diff_at(i)
+    columns = [
+        coordinates(d(from_coordinates([int(j == k) for j in range(n)], source)), target)
+        for k in range(n)
+    ]
+    rows = size(target)
+    return IntMatrix(rows, n, tuple(columns[j][r] for r in range(rows) for j in range(n)))
+
+
+def reference_groups(cc, degrees):
+    """The groups from dense matrices, and the first degree where d d != 0."""
+    groups = []
+    for i in degrees:
+        incoming, outgoing = reference_matrix(cc, i - 1), reference_matrix(cc, i)
+        if any((incoming @ outgoing).entries):
+            return groups, i
+        in_factors, out_factors = invariant_factors(incoming), invariant_factors(outgoing)
+        groups.append(
+            HomologyGroup(
+                incoming.cols - len(in_factors) - len(out_factors),
+                tuple(f for f in out_factors if f > 1),
+            )
+        )
+    return groups, None
+
+
+class TestPrescribedHomology:
+    @given(prescribed_complexes())
+    def test_prescribed_groups_come_out(self, complex_):
+        modules, matrices, expected = complex_
+        cc = finite_complex(modules, matrices)
+        window = range(-1, len(modules) + 1)
+        assert homology_window(cc, window) == [TRIVIAL] + expected + [TRIVIAL]
+
+    @given(prescribed_complexes(), st.data())
+    def test_sparse_path_matches_dense_reference(self, complex_, data):
+        modules, matrices, _ = complex_
+        nonempty = [m for m in matrices if m and m[0]]
+        if nonempty and data.draw(st.booleans()):
+            # one changed entry, which mostly breaks d d = 0
+            m = data.draw(st.sampled_from(nonempty))
+            row = m[data.draw(st.integers(0, len(m) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] += data.draw(st.sampled_from((-1, 1, 3)))
+        cc = finite_complex(modules, matrices)
+        for i in range(-2, len(modules) + 1):
+            assert differential_matrix(cc, i) == reference_matrix(cc, i), i
+        window = range(-1, len(modules) + 1)
+        expected, failing = reference_groups(cc, window)
+        if failing is None:
+            assert homology_window(cc, window) == expected
+        else:
+            with pytest.raises(HomAlgError, match=f"around degree {failing}$"):
+                homology_window(cc, window)
+
+    def test_known_answer_at_size(self):
+        # total rank 240 over 8 degrees, with mixed torsion
+        rng = random.Random(7)
+        free = [rng.randrange(8) for _ in range(40)]
+        arrows = [(rng.randrange(7), rng.choice((1, 2, 3, 4, 6, 9, 10))) for _ in range(100)]
+        ranks, matrices, expected = prescribed(8, free, arrows, rng, 600)
+        assert sum(ranks) == 240
+        cc = finite_complex(ranks, matrices)
+        assert homology_window(cc, range(-1, 9)) == [TRIVIAL] + expected + [TRIVIAL]
+
+
+class TestComposesToZero:
+    # d(0) = [[1, 1, 2], [0, 3, -1]] kills (-7, 1, 3): every entry of the
+    # product is a sum of nonzero partial products that cancel
+    D0 = [[1, 1, 2], [0, 3, -1]]
+
+    def test_partial_products_that_cancel(self):
+        cc = finite_complex([2, 3, 1], [self.D0, [[-7], [1], [3]]])
+        assert groups(cc, range(-1, 4)) == [TRIVIAL] * 5
+
+    def test_a_single_nonzero_entry_raises(self):
+        # d(0) (-9, 1, 4) = (0, -1)
+        cc = finite_complex([2, 3, 1], [self.D0, [[-9], [1], [4]]])
+        with pytest.raises(HomAlgError, match="around degree 1"):
+            homology_window(cc, range(-1, 4))
+
+
 class TestHomologyWindow:
     def test_each_differential_built_and_factored_once(self, monkeypatch):
-        calls = {"matrix": [], "factors": 0}
-        build = effhom.homology.differential_matrix
-        factor = effhom.homology.invariant_factors
+        calls = {"columns": [], "factors": 0}
+        build = effhom.homology.differential_columns
+        factor = effhom.homology._sparse_invariant_factors
 
         def counted_build(cc, i):
-            calls["matrix"].append(i)
+            calls["columns"].append(i)
             return build(cc, i)
 
-        def counted_factor(matrix):
+        def counted_factor(rows):
             calls["factors"] += 1
-            return factor(matrix)
+            return factor(rows)
 
-        monkeypatch.setattr(effhom.homology, "differential_matrix", counted_build)
-        monkeypatch.setattr(effhom.homology, "invariant_factors", counted_factor)
+        monkeypatch.setattr(effhom.homology, "differential_columns", counted_build)
+        monkeypatch.setattr(effhom.homology, "_sparse_invariant_factors", counted_factor)
         got = homology_window(fcc1(), range(-3, 4))
         assert got == [Z_MOD_2 if i % 2 == 0 else TRIVIAL for i in range(-3, 4)]
-        assert calls == {"matrix": list(range(-4, 4)), "factors": 8}
+        assert calls == {"columns": list(range(-4, 4)), "factors": 8}
 
     def test_first_failing_degree_raises(self):
         cc = finite_complex([1, 1, 1], [[[1]], [[1]]])

@@ -20,6 +20,7 @@ from effhom import (
     generator,
     normalize,
 )
+from effhom.instances import cc2
 from effhom.modules import join, leaves, split
 
 ZZ = DirectSum(Z, Z)
@@ -232,7 +233,11 @@ def interleave(a, b):
 def test_library_results_are_canonical(raw, a, b, c):
     difference, cancelled = FOLD(interleave(a, b)), FOLD(interleave(a, a))
     assert difference == a - b and cancelled.is_zero()
-    for e in (normalize(raw, COUNTABLE), a + b, a + (-a), -a, c * a, difference, cancelled):
+    # the differential of cc2 at an even and an odd index: the parity filters
+    parity = [cc2().diff_at(i)(a) for i in (0, 1)]
+    assert parity[0] + parity[1] == a
+    results = (normalize(raw, COUNTABLE), a + b, a + (-a), -a, c * a, difference, cancelled)
+    for e in results + tuple(parity):
         passes_the_constructor(e)
 
 

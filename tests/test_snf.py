@@ -5,7 +5,7 @@ and the invariant factors are cross-checked against the gcd-of-minors
 characterization on the seeded random suites: for k = 1 and k = full rank
 on dense matrices, and for every k on the sparse unit-heavy ones, where
 the transform-free ``invariant_factors`` must also agree with
-``smith_normal_form``.
+``smith_normal_form`` and give the same factors for the transpose.
 """
 
 import random
@@ -148,6 +148,8 @@ class TestSeededSuite:
             a = IntMatrix.from_rows(data, rows, cols)
             factors = invariant_factors(a)
             assert factors == assert_snf_contract(a).invariant_factors, data
+            transposed = IntMatrix.from_rows(zip(*data), cols, rows)
+            assert invariant_factors(transposed) == factors, data
             # the k-th determinantal divisor is d1 * ... * dk, and 0 past the rank
             product = 1
             for k in range(1, min(rows, cols) + 1):
