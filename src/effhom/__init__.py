@@ -41,7 +41,6 @@ from .homology import (
     HomologyGroup,
     differential_columns,
     differential_matrix,
-    element_coordinates,
     enumerate_basis,
     homology_at,
     homology_window,
@@ -85,6 +84,7 @@ from .reduction import (
     check_contracting,
     check_homotopy_squares_to_zero,
     check_reduction_laws,
+    compose,
     effective_homology,
     is_cycle,
     perturb_homotopy,

@@ -12,23 +12,26 @@ reduction morphisms is fixed here so that every composite is built over
 matching module descriptions, and a mismatch raises when the degree
 component is constructed, not when it is first applied to an element.
 
-``cone_contraction`` ships the homotopy k(i)(x, y) = (g(i+1)(y) - h(i)(x), 0)
-witnessing that the cone of a reduction's own f is acyclic.  The formula
-is a derived obligation: the test suite validates it against an
-independent term-by-term expansion of d.k + k.d through the five
-reduction laws before trusting the sampled contraction check.
+``cone_effective_homology`` is ``effective_homology`` of that reduction.
+``cone_contraction``, k(i)(x, y) = (g(i+1)(y) - h(i)(x), 0) on the cone of a
+reduction's own f, is the h of a composite: the cone of f reduces (with the
+identity reduction of the bottom) onto the cone of f . g = id, which
+contracts onto ``null`` by (u, v) -> (v, 0).
 """
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, ChainMorphism, FiniteTypeEvidence
+from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
 from .modules import DirectSum
 from .morphisms import pair, proj1, proj2, zero_map
 from .reduction import (
     EffectiveHomology,
     HomotopyOperator,
     Reduction,
+    _onto_null,
+    compose,
     effective_homology,
+    zero_homotopy,
 )
 
 
@@ -81,10 +84,9 @@ def cone_reduction(r1: Reduction, r2: Reduction, alpha: ChainMorphism) -> Reduct
         domain = bottom.module_at(i)
         p1, p2 = proj1(domain), proj2(domain)
         lift = r1.g.at(i) * p1
-        first = lift
         via_h = -(r2.h.at(i) * alpha.at(i) * lift)
         second = via_h + r2.g.at(i + 1) * p2
-        return pair(first, second)
+        return pair(lift, second)
 
     def h_at(i):
         domain = top.module_at(i)
@@ -106,25 +108,8 @@ def cone_reduction(r1: Reduction, r2: Reduction, alpha: ChainMorphism) -> Reduct
 def cone_effective_homology(
     eh1: EffectiveHomology, eh2: EffectiveHomology, alpha: ChainMorphism
 ) -> EffectiveHomology:
-    """Effective homology of the cone of a morphism between the two tops.
-
-    The bottom of the produced reduction is the cone of the induced bottom
-    morphism; its finite-type evidence is derived from the two bottom
-    evidences, since a direct sum of finite-type modules is finite type.
-    """
-    reduction = cone_reduction(eh1.reduction, eh2.reduction, alpha)
-    e1, e2 = eh1.bottom_finite_type, eh2.bottom_finite_type
-    # Cone degree i uses bottom1 at i and bottom2 at i+1.
-    lo, hi = max(e1.lo, e2.lo - 1), min(e1.hi, e2.hi - 1)
-    if lo > hi:
-        return effective_homology(reduction)
-    evidence = FiniteTypeEvidence(
-        finite=e1.finite and e2.finite,
-        declared=e1.declared and e2.declared,
-        lo=lo,
-        hi=hi,
-    )
-    return EffectiveHomology(reduction, evidence)
+    """Effective homology of the cone of a morphism between the two tops."""
+    return effective_homology(cone_reduction(eh1.reduction, eh2.reduction, alpha))
 
 
 def cone_contraction(r: Reduction) -> HomotopyOperator:
@@ -132,13 +117,12 @@ def cone_contraction(r: Reduction) -> HomotopyOperator:
 
     k(i)(x, y) = (g(i+1)(y) - h(i)(x), 0), raising cone degree i to i+1.
     """
-    over = cone(r.f)
+    b, one = r.bottom, identity_chain_morphism(r.bottom)
+    onto = cone_reduction(r, Reduction(b, b, one, one, zero_homotopy(b)), r.f)
+    over = onto.bottom
 
-    def k_at(i):
+    def swap_at(i):
         domain = over.module_at(i)
-        p1, p2 = proj1(domain), proj2(domain)
-        first = r.g.at(i + 1) * p2 - r.h.at(i) * p1
-        second = zero_map(domain, r.bottom.module_at(i + 2))
-        return pair(first, second)
+        return pair(proj2(domain), zero_map(domain, b.module_at(i + 2)))
 
-    return HomotopyOperator(over, k_at)
+    return compose(onto, _onto_null(over, HomotopyOperator(over, swap_at))).h

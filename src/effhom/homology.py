@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
-from .modules import Element, FiniteFree, FreeModule, generator, join, leaves, split
+from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves, split
 from .reduction import EffectiveHomology
 from .snf import IntMatrix, _sparse_invariant_factors
 
@@ -91,21 +91,10 @@ def enumerate_basis(desc: FreeModule) -> list[Element]:
     basis = []
     for k, leaf in enumerate(shape):
         for g in range(_rank(leaf)):
-            parts[k] = generator(g)
+            parts[k] = Comb._canonical(((g, 1),))  # x_g alone is canonical
             basis.append(join(desc, iter(parts)))
         parts[k] = leaf.zero()
     return basis
-
-
-def element_coordinates(element: Element, desc: FreeModule) -> list[int]:
-    """Dense coordinates of a member of a finite-type module, leaf by leaf."""
-    coords: list[int] = []
-    for leaf, part in split(element, desc):
-        row = [0] * _rank(leaf)
-        for g, c in part.terms:
-            row[g] = c
-        coords.extend(row)
-    return coords
 
 
 def differential_columns(cc: ChainComplex, i: int) -> tuple[int, list[dict[int, int]]]:

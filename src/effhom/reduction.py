@@ -13,11 +13,14 @@ f first):
     5. h(i+1) * h(i) = 0
 
 A contracting homotopy of one complex satisfies d(i) * h(i) +
-h(i-1) * d(i-1) = id and law 5.  Values are constructible without proof;
-the checkers hand each equation to the law engine (``laws.run_law``),
-which samples it.  A reduction whose bottom is free of finite type is an
-effective homology: homological questions about the top transfer to plain
-integer linear algebra on the bottom.
+h(i-1) * d(i-1) = id and law 5, and is then a reduction onto ``null``.
+Reductions r of A onto B and s of B onto C compose to one of A onto C:
+f = s.f * r.f, g = r.g * s.g, h(i) = r.h(i) + r.g(i+1) * s.h(i) * r.f(i).
+Values are constructible without proof; the checkers hand each equation
+to the law engine (``laws.run_law``), which samples it.  A reduction
+whose bottom is free of finite type is an effective homology:
+homological questions about the top transfer to integer linear algebra
+on the bottom.
 """
 
 from __future__ import annotations
@@ -91,11 +94,9 @@ class EffectiveHomology:
     bottom_finite_type: FiniteTypeEvidence
 
 
-def effective_homology(
-    reduction: Reduction, witness_degrees=DEFAULT_DEGREES
-) -> EffectiveHomology:
-    """Package a reduction whose bottom passes the finite-type check."""
-    evidence = is_finite_type_complex(reduction.bottom, witness_degrees)
+def effective_homology(reduction: Reduction) -> EffectiveHomology:
+    """Package a reduction whose bottom is finite type on ``DEFAULT_DEGREES``."""
+    evidence = is_finite_type_complex(reduction.bottom, DEFAULT_DEGREES)
     if not evidence:
         raise NotFiniteTypeError(
             f"bottom complex is infinite type at degrees {evidence.infinite_degrees}"
@@ -150,16 +151,31 @@ def check_homotopy_squares_to_zero(
     return LawReport((_squares_to_zero(h, degrees, sampler),))
 
 
-def perturb_homotopy(r: Reduction, h_bottom: HomotopyOperator) -> HomotopyOperator:
-    """Transport a bottom homotopy through a reduction.
-
-    Returns i -> r.h(i) + r.g(i+1) . h_bottom(i) . r.f(i); g is taken at
-    degree i+1 because the bottom homotopy raises the degree.
-    """
-    return HomotopyOperator(
+def compose(r: Reduction, s: Reduction) -> Reduction:
+    """The reduction of ``r.top`` onto ``s.bottom`` through ``r.bottom``."""
+    if r.bottom is not s.top:
+        raise ShapeMismatchError("reductions compose only when r.bottom is s.top")
+    return Reduction(
         r.top,
-        lambda i: r.h.at(i) + r.g.at(i + 1) * h_bottom.at(i) * r.f.at(i),
+        s.bottom,
+        ChainMorphism(r.top, s.bottom, lambda i: s.f.at(i) * r.f.at(i)),
+        ChainMorphism(s.bottom, r.top, lambda i: r.g.at(i) * s.g.at(i)),
+        HomotopyOperator(
+            r.top, lambda i: r.h.at(i) + r.g.at(i + 1) * s.h.at(i) * r.f.at(i)
+        ),
     )
+
+
+def _onto_null(cc: ChainComplex, h: HomotopyOperator) -> Reduction:
+    """``cc`` onto ``null`` with zero f and g: a reduction when h contracts cc."""
+    null = null_complex()
+    f, g = zero_chain_morphism(cc, null), zero_chain_morphism(null, cc)
+    return Reduction(cc, null, f, g, h)
+
+
+def perturb_homotopy(r: Reduction, h_bottom: HomotopyOperator) -> HomotopyOperator:
+    """Transport a contraction of ``r.bottom`` to ``r.top``: compose onto ``null``."""
+    return compose(r, _onto_null(r.bottom, h_bottom)).h
 
 
 def is_cycle(cc: ChainComplex, i: int, x: Element) -> bool:
@@ -216,7 +232,4 @@ def acyclic_to_null_effective_homology(
             "not a contracting homotopy",
             report,
         )
-    null = null_complex()
-    f, g = zero_chain_morphism(cc, null), zero_chain_morphism(null, cc)
-    reduction = Reduction(cc, null, f, g, h)
-    return effective_homology(reduction)
+    return effective_homology(_onto_null(cc, h))

@@ -10,6 +10,8 @@ import pytest
 
 from effhom.cli import build_parser, main
 
+from test_grammar import PARSE_MESSAGES
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -202,6 +204,40 @@ class TestHomology:
         )
 
 
+HTOP_ELEMENTS = (
+    "(0, 0, 0)", "(5, 7*x4+8*x0, 3)", "(1, x1, -2)", "(-3, 2*x2-x5, 0)",
+    "(0, 9*x0+x1+4*x3, 7)", "(12, 0, -1)",
+)
+
+
+def test_htop_transcripts_are_pinned(capsys):
+    # the transported homotopy htop through eval, preimage and check; the
+    # digest was taken while htop was still written out by hand, so any
+    # changed byte of its derivation through compose shows here
+    digest = hashlib.sha256()
+
+    def record(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{argv} {code}\n{out}{err}".encode())
+        return code, out
+
+    for i in range(-3, 4):
+        for y in HTOP_ELEMENTS:
+            record("eval", "cone-example", "h:htop", str(i), y)
+            _, x = record("eval", "cone-example", "diff", str(i), y)
+            # x = d(y) is a cycle at degree i, y itself usually is not
+            assert record(
+                "preimage", "cone-example", str(i), x.strip(), "--h", "htop"
+            )[0] == 0
+            record("preimage", "cone-example", str(i), y, "--h", "htop")
+    for law in ("reduction", "contracting:htop"):
+        for fmt in ("text", "json"):
+            assert record("check", "cone-example", law, "--format", fmt)[0] == 0
+    assert digest.hexdigest() == (
+        "f4f1dab0836990da60db5ff290c3fb9a47da1b0ba069cb2180b96ab2a87e4c4c"
+    )
+
+
 class TestUsageErrors:
     def test_unknown_instance(self, capsys):
         code, _, err = run_cli(capsys, "eval", "nope", "diff", "0", "0")
@@ -241,6 +277,20 @@ class TestUsageErrors:
         assert code == 2
         assert f"{option} must be at least {bound}" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *((("eval", "cc2", "diff", "0", bad), message) for bad, message in PARSE_MESSAGES),
+            (
+                ("eval", "cone-example", "bogus", "0", "x0"),
+                "operator must be 'diff' or 'h:NAME', got 'bogus'",
+            ),
+            (("homology", "fcc1", "0-3"), "expected a degree range like -8..8, got '0-3'"),
+        ],
+    )
+    def test_one_line_error_without_traceback(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)

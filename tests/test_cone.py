@@ -27,11 +27,16 @@ from effhom import (
     cone_reduction,
     identity_chain_morphism,
     null_complex,
+    pair,
     parse_element,
+    proj1,
+    proj2,
+    run_law,
     zero_chain_morphism,
     zero_homotopy,
+    zero_map,
 )
-from effhom.reduction import Reduction
+from effhom.reduction import HomotopyOperator, Reduction
 from effhom.instances import alpha_pi1, cone_example, idz2x0, zxznat
 
 SAMPLER = Sampler(seed=7)
@@ -207,3 +212,19 @@ class TestConeContraction:
         e = parse_element("(5, 7*x4+8*x0, 3)", over.module_at(2))
         out = over.diff_at(2)(k.at(2)(e)) + k.at(1)(over.diff_at(1)(e))
         assert out == e
+
+    def test_equals_the_hand_formula(self):
+        # the formula cone_contraction wrote out before it became compose
+        r = zxznat().reduction
+        over = cone(r.f)
+
+        def old_at(i):
+            domain = over.module_at(i)
+            p1, p2 = proj1(domain), proj2(domain)
+            first = r.g.at(i + 1) * p2 - r.h.at(i) * p1
+            return pair(first, zero_map(domain, r.bottom.module_at(i + 2)))
+
+        old, new = HomotopyOperator(over, old_at), cone_contraction(r)
+        section = run_law("old=new", WINDOW, SAMPLER, lambda i: (old.at(i), new.at(i)))
+        assert section.violations == 0
+        assert len(section.records) == len(WINDOW) * SAMPLER.samples

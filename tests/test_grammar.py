@@ -91,6 +91,21 @@ class TestParse:
                 parse_element(bad, COUNTABLE)
 
 
+PARSE_MESSAGES = [
+    ("(1 2)", "expected ')' in element text"),
+    ("x1+3x2", "a combination term needs an 'x' generator"),
+    ("3*4", "expected a generator after '*'"),
+    ("x1+)", "expected a term after '+'/'-'"),
+]
+
+
+@pytest.mark.parametrize("bad, message", PARSE_MESSAGES)
+def test_syntax_error_messages(bad, message):
+    with pytest.raises(ParseError) as exc:
+        parse_element(bad, COUNTABLE)
+    assert str(exc.value) == message
+
+
 def random_desc(rng, depth=0):
     kind = rng.randint(0, 3 if depth < 3 else 1)
     if kind <= 1:

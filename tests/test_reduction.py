@@ -14,9 +14,11 @@ from effhom import (
     PreimageVerificationError,
     Reduction,
     Sampler,
+    ShapeMismatchError,
     acyclic_to_null_effective_homology,
     check_contracting,
     check_reduction_laws,
+    compose,
     direct_sum_map,
     identity,
     is_cycle,
@@ -26,9 +28,11 @@ from effhom import (
     perturb_homotopy,
     preimage,
     proj1,
+    run_law,
     zero_homotopy,
     zero_map,
 )
+from effhom.reduction import _onto_null
 from effhom.instances import (
     cc1,
     cc2,
@@ -130,6 +134,38 @@ class TestPerturb:
     def test_transported_homotopy_contracts_the_top(self):
         top = cone_example().reduction.top
         assert check_contracting(top, h_top(), WINDOW, SAMPLER).ok
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            Sampler(),
+            Sampler(coeff_bound=10**12, max_support=200, max_generator=1000),
+        ],
+        ids=["default", "wide"],
+    )
+    def test_htop_equals_the_hand_formula(self, sampler):
+        # the formula perturb_homotopy wrote out before it became compose
+        r, h2 = cone_example().reduction, h2_bottom()
+        old = HomotopyOperator(
+            r.top, lambda i: r.h.at(i) + r.g.at(i + 1) * h2.at(i) * r.f.at(i)
+        )
+        new = h_top()
+        section = run_law("old=new", WINDOW, sampler, lambda i: (old.at(i), new.at(i)))
+        assert section.violations == 0
+        assert len(section.records) == len(WINDOW) * sampler.samples
+
+
+class TestCompose:
+    def test_with_the_bottom_contraction_is_a_reduction(self):
+        r = cone_example().reduction
+        composite = compose(r, _onto_null(r.bottom, h2_bottom()))
+        assert composite.top is r.top and composite.bottom is null_complex()
+        assert check_reduction_laws(composite, WINDOW, SAMPLER).ok
+
+    def test_reductions_that_do_not_meet_are_rejected(self):
+        # zxznat ends at fcc1 and idz2x0 starts at cc1: equal shapes, two complexes
+        with pytest.raises(ShapeMismatchError):
+            compose(zxznat().reduction, idz2x0().reduction)
 
 
 class TestCycles:
