@@ -10,12 +10,10 @@ finite-type complexes.
 from .complexes import (
     ChainComplex,
     ChainMorphism,
-    FiniteTypeEvidence,
     check_chain_morphism,
     check_nilpotency,
     direct_sum_complex,
     identity_chain_morphism,
-    is_finite_type_complex,
     null_complex,
     zero_chain_morphism,
 )
@@ -89,6 +87,7 @@ from .reduction import (
     is_cycle,
     perturb_homotopy,
     preimage,
+    sampled_effective_homology,
     zero_homotopy,
 )
 from .sampling import Sampler

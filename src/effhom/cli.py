@@ -111,6 +111,8 @@ def _sampler(args) -> Sampler:
         raise UsageError("--support must be at least 1")
     if args.max_gen < 0:
         raise UsageError("--max-gen must be at least 0")
+    if args.max_gen >= sys.maxsize:
+        raise UsageError(f"--max-gen must be at most {sys.maxsize - 1}")
     return Sampler(
         seed=args.seed,
         samples=args.samples,
@@ -313,6 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Integers are exact at every size, so lift the int <-> str digit limit
+    # for this call only; Python 3.10.0-3.10.6 has neither limit nor setter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -323,6 +330,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _run(argv) -> int:

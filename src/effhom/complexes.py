@@ -25,9 +25,9 @@ from .sampling import Sampler
 class ChainComplex:
     """Graded module plus differential family, both total over the integers.
 
-    ``declared_finite_type`` is instance-supplied evidence that every degree
-    is finite type; structural finiteness can only be verified on a window
-    (see ``is_finite_type_complex``).
+    ``declared_finite_type`` is a label an instance may carry; no check
+    reads it.  Finite type is a property of the modules, so whoever needs
+    it asks ``module_at(i).is_finite_type()`` on the degrees it uses.
     """
 
     module_family: Callable[[int], FreeModule]
@@ -91,39 +91,6 @@ def direct_sum_complex(cc1: ChainComplex, cc2: ChainComplex) -> ChainComplex:
         lambda i: DirectSum(cc1.module_at(i), cc2.module_at(i)),
         lambda i: direct_sum_map(cc1.diff_at(i), cc2.diff_at(i)),
         declared_finite_type=cc1.declared_finite_type and cc2.declared_finite_type,
-    )
-
-
-@dataclass(frozen=True)
-class FiniteTypeEvidence:
-    """Outcome of a finite-type check over a degree window."""
-
-    finite: bool
-    declared: bool
-    lo: int
-    hi: int
-    infinite_degrees: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.finite
-
-
-def is_finite_type_complex(cc: ChainComplex, degrees) -> FiniteTypeEvidence:
-    """Check structural finiteness on a witness window.
-
-    The family is total over all integers, so this is evidence, not proof;
-    instances may add a declared uniform flag, which is reported alongside.
-    """
-    window = sorted(set(degrees))
-    if not window:
-        raise ValueError("witness window must be nonempty")
-    bad = tuple(i for i in window if not cc.module_at(i).is_finite_type())
-    return FiniteTypeEvidence(
-        finite=not bad,
-        declared=cc.declared_finite_type,
-        lo=window[0],
-        hi=window[-1],
-        infinite_degrees=bad,
     )
 
 

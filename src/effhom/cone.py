@@ -22,6 +22,7 @@ contracts onto ``null`` by (u, v) -> (v, 0).
 from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
+from .errors import ShapeMismatchError
 from .modules import DirectSum
 from .morphisms import pair, proj1, proj2, zero_map
 from .reduction import (
@@ -60,6 +61,8 @@ def bottom_morphism(
     r1: Reduction, r2: Reduction, alpha: ChainMorphism
 ) -> ChainMorphism:
     """The induced morphism between the bottoms: f' . alpha . g, degreewise."""
+    if alpha.source is not r1.top or alpha.target is not r2.top:
+        raise ShapeMismatchError("alpha must run from r1.top to r2.top")
     return ChainMorphism(
         r1.bottom,
         r2.bottom,

@@ -25,7 +25,6 @@ from .complexes import (
     null_complex,
 )
 from .cone import cone_effective_homology
-from .errors import LawViolationError
 from .modules import COUNTABLE, Z, Comb
 from .morphisms import (
     ModMorphism,
@@ -38,17 +37,15 @@ from .morphisms import (
     zero_map,
 )
 from .reduction import (
-    DEFAULT_DEGREES,
     EffectiveHomology,
     HomotopyOperator,
     Reduction,
     acyclic_to_null_effective_homology,
-    check_reduction_laws,
     effective_homology,
     perturb_homotopy,
+    sampled_effective_homology,
     zero_homotopy,
 )
-from .sampling import Sampler
 
 __all__ = [
     "null_complex",
@@ -152,11 +149,7 @@ def zxznat() -> EffectiveHomology:
     h = HomotopyOperator(
         top, lambda i: direct_sum_map(zero_map(Z, Z), hcc2().at(i))
     )
-    r = Reduction(top, bottom, f, g, h)
-    report = check_reduction_laws(r, DEFAULT_DEGREES, Sampler())
-    if not report.ok:
-        raise LawViolationError("reduction laws failed at construction", report)
-    return effective_homology(r)
+    return sampled_effective_homology(Reduction(top, bottom, f, g, h))
 
 
 @cache

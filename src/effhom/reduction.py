@@ -17,10 +17,13 @@ h(i-1) * d(i-1) = id and law 5, and is then a reduction onto ``null``.
 Reductions r of A onto B and s of B onto C compose to one of A onto C:
 f = s.f * r.f, g = r.g * s.g, h(i) = r.h(i) + r.g(i+1) * s.h(i) * r.f(i).
 Values are constructible without proof; the checkers hand each equation
-to the law engine (``laws.run_law``), which samples it.  A reduction
-whose bottom is free of finite type is an effective homology:
-homological questions about the top transfer to integer linear algebra
-on the bottom.
+to the law engine (``laws.run_law``), which samples it.
+
+An effective homology is a reduction whose bottom is free of finite type,
+which its one constructor ``effective_homology`` checks on ``DEFAULT_DEGREES``:
+homological questions about the top transfer to integer linear algebra on
+the bottom.  ``sampled_effective_homology`` packages a reduction whose laws
+a caller promises, after sampling them; a violation raises.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from typing import Callable
 from .complexes import (
     ChainComplex,
     ChainMorphism,
-    FiniteTypeEvidence,
-    is_finite_type_complex,
     null_complex,
     zero_chain_morphism,
 )
@@ -88,20 +89,30 @@ class Reduction:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHomology:
-    """A reduction together with finite-type evidence for its bottom."""
+    """A reduction whose bottom is of finite type, made by ``effective_homology``."""
 
     reduction: Reduction
-    bottom_finite_type: FiniteTypeEvidence
 
 
 def effective_homology(reduction: Reduction) -> EffectiveHomology:
     """Package a reduction whose bottom is finite type on ``DEFAULT_DEGREES``."""
-    evidence = is_finite_type_complex(reduction.bottom, DEFAULT_DEGREES)
-    if not evidence:
-        raise NotFiniteTypeError(
-            f"bottom complex is infinite type at degrees {evidence.infinite_degrees}"
-        )
-    return EffectiveHomology(reduction, evidence)
+    bottom = reduction.bottom
+    bad = tuple(i for i in DEFAULT_DEGREES if not bottom.module_at(i).is_finite_type())
+    if bad:
+        raise NotFiniteTypeError(f"bottom complex is infinite type at degrees {bad}")
+    return EffectiveHomology(reduction)
+
+
+def sampled_effective_homology(reduction: Reduction) -> EffectiveHomology:
+    """``effective_homology`` of a reduction whose five laws sample clean.
+
+    The laws are sampled on ``DEFAULT_DEGREES`` with the default ``Sampler``;
+    a violation raises ``LawViolationError`` carrying the report.
+    """
+    report = check_reduction_laws(reduction, DEFAULT_DEGREES, Sampler())
+    if not report.ok:
+        raise LawViolationError("reduction laws failed at construction", report)
+    return effective_homology(reduction)
 
 
 def check_reduction_laws(r: Reduction, degrees, sampler: Sampler) -> LawReport:
@@ -211,25 +222,11 @@ def preimage(cc: ChainComplex, h: HomotopyOperator, i: int, x: Element) -> Eleme
 
 
 def acyclic_to_null_effective_homology(
-    cc: ChainComplex,
-    h: HomotopyOperator,
-    degrees=DEFAULT_DEGREES,
-    sampler: Sampler | None = None,
+    cc: ChainComplex, h: HomotopyOperator
 ) -> EffectiveHomology:
-    """Package a contracting homotopy as an effective homology to ``null``.
+    """Package a contracting homotopy as its reduction onto ``null``, sampled.
 
-    Both d.h + h.d = id and h.h = 0 are sampled first: the second law is
-    needed for reduction law 5 once f and g are the zero morphisms, and it
-    is an extra obligation on top of the contraction identity itself.
+    With zero f and g the five reduction laws say exactly that h contracts
+    ``cc`` (law 2) and squares to zero (law 5).
     """
-    sampler = sampler or Sampler()
-    report = check_contracting(cc, h, degrees, sampler).merged(
-        check_homotopy_squares_to_zero(cc, h, degrees, sampler)
-    )
-    if not report.ok:
-        raise LawViolationError(
-            f"homotopy fails on {report.violations} sample(s); "
-            "not a contracting homotopy",
-            report,
-        )
-    return effective_homology(_onto_null(cc, h))
+    return sampled_effective_homology(_onto_null(cc, h))

@@ -18,6 +18,7 @@ from ``rng.sample``.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves
@@ -51,6 +52,9 @@ class Sampler:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        # rng.sample takes len() of range(max_generator + 1)
+        if self.max_generator >= sys.maxsize:
+            raise ValueError(f"max_generator must be at most {sys.maxsize - 1}")
 
     def elements(self, desc: FreeModule, label: str) -> list[Element]:
         rng = random.Random(f"{self.seed}|{label}")

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from effhom.cli import build_parser, main
+from effhom.instances import CATALOG
 
 from test_grammar import PARSE_MESSAGES
 
@@ -55,6 +56,29 @@ class TestEvalTranscripts:
         )
         assert code == 0
         assert json.loads(out) == {"result": "(-10, -8*x0-7*x4, 5)"}
+
+
+class TestHugeIntegers:
+    # past the interpreter's default int <-> str limit of 4,300 digits
+
+    def test_doubling_4300_nines(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "fcc1", "diff", "0", "9" * 4300)
+        assert (code, err) == (0, "")
+        # 2 * (10^4300 - 1), all 4,301 digits
+        assert out == "1" + "9" * 4299 + "8\n"
+
+    def test_5000_digit_coefficient_round_trips(self, capsys):
+        n = "7" * 5000
+        assert run_cli(capsys, "eval", "cc2", "diff", "0", f"{n}*x0") == (
+            0, f"{n}*x0\n", ""
+        )
+
+    def test_limit_restored_after_main(self, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int <-> str digit limit")
+        before = sys.get_int_max_str_digits()
+        run_cli(capsys, "eval", "cc1", "diff", "0", "9" * 5000)
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestPreimage:
@@ -238,6 +262,28 @@ def test_htop_transcripts_are_pinned(capsys):
     )
 
 
+CHECK_LAWS = (
+    "nilpotency", "chain-morphism", "reduction", "contracting:h1",
+    "contracting:h2", "contracting:htop", "contracting:hcc2", "frobnicate",
+)
+
+
+def test_check_transcripts_are_pinned(capsys):
+    # every law on every catalog instance and an unknown one, both formats,
+    # errors included; exit code, stdout and stderr all enter the digest
+    digest = hashlib.sha256()
+    for ident in (*CATALOG, "nope"):
+        for law in CHECK_LAWS:
+            for fmt in ("text", "json"):
+                argv = ("check", ident, law, "--degrees", "-3..3", "--samples", "4",
+                        "--seed", "7", "--format", fmt)
+                code, out, err = run_cli(capsys, *argv)
+                digest.update(f"{argv} {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == (
+        "ec865258e095291d4b57ad9ca172645da38d369a96545e7cfb3912de0755480c"
+    )
+
+
 class TestUsageErrors:
     def test_unknown_instance(self, capsys):
         code, _, err = run_cli(capsys, "eval", "nope", "diff", "0", "0")
@@ -268,14 +314,21 @@ class TestUsageErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "option, value, bound",
-        [("--coeff-bound", "0", 1), ("--support", "0", 1), ("--max-gen", "-1", 0)],
+        "option, value, message",
+        [
+            ("--coeff-bound", "0", "must be at least 1"),
+            ("--support", "0", "must be at least 1"),
+            ("--max-gen", "-1", "must be at least 0"),
+            ("--max-gen", str(sys.maxsize), f"must be at most {sys.maxsize - 1}"),
+        ],
+        ids=["--coeff-bound-0-1", "--support-0-1", "--max-gen--1-0", "--max-gen-maxsize"],
     )
-    def test_sampler_bounds(self, capsys, option, value, bound):
-        # --max-gen -1 would otherwise pass vacuously on all-zero samples
+    def test_sampler_bounds(self, capsys, option, value, message):
+        # --max-gen -1 would otherwise pass vacuously on all-zero samples, and
+        # sys.maxsize would overflow the len() that rng.sample takes
         code, out, err = run_cli(capsys, "check", "cc2", "nilpotency", option, value)
         assert code == 2
-        assert f"{option} must be at least {bound}" in err
+        assert f"{option} {message}" in err
         assert out == ""
 
     @pytest.mark.parametrize(

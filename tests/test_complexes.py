@@ -1,4 +1,4 @@
-"""Chain complexes, law checking, direct sums, finite-type evidence."""
+"""Chain complexes, law checking, direct sums, finite-type bottoms."""
 
 import pytest
 
@@ -10,17 +10,20 @@ from effhom import (
     Comb,
     Pair,
     Sampler,
+    NotFiniteTypeError,
+    Reduction,
     ShapeMismatchError,
     check_chain_morphism,
     check_nilpotency,
     direct_sum_complex,
     identity,
+    effective_homology,
     identity_chain_morphism,
-    is_finite_type_complex,
     null_complex,
     parse_element,
     proj1,
     scaling,
+    zero_homotopy,
     zero_map,
 )
 from effhom.instances import alpha_pi1, cc1, cc2, fcc1, sum12
@@ -152,21 +155,14 @@ class TestDirectSum:
 
 
 class TestFiniteType:
-    def test_fcc1(self):
-        ev = is_finite_type_complex(fcc1(), WINDOW)
-        assert ev and ev.declared
-
-    def test_cc1_structurally_finite_but_undeclared(self):
-        ev = is_finite_type_complex(cc1(), WINDOW)
-        assert ev and not ev.declared
-
     def test_cc2_infinite(self):
-        ev = is_finite_type_complex(cc2(), WINDOW)
-        assert not ev
-        assert ev.infinite_degrees
-
-    def test_null_finite(self):
-        assert is_finite_type_complex(null_complex(), WINDOW)
+        one = identity_chain_morphism(cc2())
+        r = Reduction(cc2(), cc2(), one, one, zero_homotopy(cc2()))
+        with pytest.raises(NotFiniteTypeError) as exc:
+            effective_homology(r)
+        assert str(exc.value) == (
+            f"bottom complex is infinite type at degrees {tuple(range(-8, 9))}"
+        )
 
 
 class TestReportFormat:

@@ -9,13 +9,13 @@ from effhom import (
     Z,
     Comb,
     DirectSum,
+    EffectiveHomology,
     Sampler,
     check_contracting,
     check_nilpotency,
     check_reduction_laws,
     from_generator_images,
     generator,
-    is_finite_type_complex,
     normalize,
     parse_element,
 )
@@ -58,7 +58,7 @@ class TestNullComplex:
         assert null_complex().diff_at(5)(Comb(())) == Comb(())
 
     def test_finite_type(self):
-        assert is_finite_type_complex(null_complex(), WINDOW)
+        assert all(null_complex().module_at(i).is_finite_type() for i in WINDOW)
 
 
 class TestCC1:
@@ -95,7 +95,7 @@ class TestIdZ2x0:
         assert check_reduction_laws(idz2x0().reduction, WINDOW, SAMPLER).ok
 
     def test_bottom_finite(self):
-        assert idz2x0().bottom_finite_type
+        assert idz2x0().reduction.bottom is fcc1()
 
 
 class TestCC2:
@@ -109,7 +109,7 @@ class TestCC2:
         assert cc2().diff_at(1)(x1) == x1
 
     def test_infinite_type(self):
-        assert not is_finite_type_complex(cc2(), WINDOW)
+        assert not any(cc2().module_at(i).is_finite_type() for i in WINDOW)
 
 
 def parity_reference(i):
@@ -142,7 +142,6 @@ class TestHcc2:
                 assert hcc2().at(i + 1)(hcc2().at(i)(e)) == Comb(())
 
     def test_acyclic_packaging(self):
-        assert cc2_to_null().bottom_finite_type
         assert check_reduction_laws(cc2_to_null().reduction, WINDOW, SAMPLER).ok
 
 
@@ -241,8 +240,7 @@ class TestCatalogWiring:
 
     def test_effective_homology_ids(self):
         for ident in ("idz2x0", "zxznat", "cone-example"):
-            eh = resolve_effective_homology(ident)
-            assert eh.bottom_finite_type
+            assert isinstance(resolve_effective_homology(ident), EffectiveHomology)
 
     def test_homotopy_homes(self):
         for name in HOMOTOPIES:

@@ -112,15 +112,25 @@ class TestAcyclicToNull:
         assert check_reduction_laws(eh.reduction, WINDOW, SAMPLER).ok
 
     def test_null_complex_with_zero_homotopy(self):
-        eh = acyclic_to_null_effective_homology(
+        # building the value without an exception is the check
+        acyclic_to_null_effective_homology(
             null_complex(), zero_homotopy(null_complex())
         )
-        assert eh.bottom_finite_type
 
     def test_cc1_with_zero_homotopy_rejected(self):
         with pytest.raises(LawViolationError) as exc:
             acyclic_to_null_effective_homology(cc1(), zero_homotopy(cc1()))
         assert exc.value.report.violations > 0
+
+    def test_rejection_reports_the_five_reduction_laws(self):
+        # a contraction is checked as its reduction onto null
+        with pytest.raises(LawViolationError) as exc:
+            acyclic_to_null_effective_homology(cc1(), zero_homotopy(cc1()))
+        sections = exc.value.report.sections
+        assert [s.law for s in sections] == [
+            "fg=id", "dh+hd+gf=id", "fh=0", "hg=0", "hh=0",
+        ]
+        assert [s.violations > 0 for s in sections] == [False, True, False, False, False]
 
 
 class TestPerturb:

@@ -1,6 +1,7 @@
 """The sampled streams: ``Sampler`` draws what the stdlib draws would."""
 
 import random
+import sys
 
 import pytest
 
@@ -58,7 +59,13 @@ def test_stream_equals_stdlib_draws(bounds, shape):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("samples", 0), ("coeff_bound", 0), ("max_support", 0), ("max_generator", -1)],
+    [
+        ("samples", 0),
+        ("coeff_bound", 0),
+        ("max_support", 0),
+        ("max_generator", -1),
+        ("max_generator", sys.maxsize),
+    ],
 )
 def test_bad_bound_raises_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
