@@ -11,6 +11,33 @@ target, so a bad generator image still surfaces as a ``MembershipError``
 at application time, also from inside a composite.  Composition is written
 ``g * f`` (first apply ``f``), addition ``f + g`` and negation ``-f``.
 
+The units of this algebra are folded out of a composite when it is built,
+after its shapes are checked, so an application never runs a branch whose
+value is known.  ``zero_map`` and ``identity`` mark what they return; with
+``z`` such a zero map and ``1`` such an identity:
+
+- ``1 * f`` and ``f * 1`` are ``f``;
+- ``z + f`` and ``f + z`` are ``f``, and ``-z`` is ``z``;
+- ``z * g`` is ``zero_map(g.source, z.target)``, unless ``g`` checks its
+  own images: a ``from_generator_images`` map, or any composite with one
+  as a part, still runs, so a bad generator image still raises.
+
+``f * z`` is not folded, because a caller's action is not assumed to send
+0 to 0.  A ``ModMorphism`` built directly is never treated as a zero or an
+identity, whatever its action.  The one change this makes to what runs: a
+caller's action whose value an outer zero discards is no longer called.
+
+>>> from effhom.modules import Z, COUNTABLE, generator
+>>> def loud(e):
+...     raise RuntimeError("never run")
+>>> (zero_map(Z, Z) * ModMorphism(Z, Z, loud))(generator(0))
+0
+>>> bad = from_generator_images(COUNTABLE, Z, generator)
+>>> (zero_map(Z, Z) * bad)(generator(3))
+Traceback (most recent call last):
+    ...
+effhom.errors.MembershipError: x3 is not a member of Z
+
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms
 pointwise on sampled elements instead.
@@ -19,7 +46,7 @@ pointwise on sampled elements instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .errors import MembershipError, ShapeMismatchError
 from .modules import Comb, DirectSum, Element, FreeModule, Pair
@@ -32,6 +59,9 @@ class ModMorphism:
     source: FreeModule
     target: FreeModule
     action: Callable[[Element], Element]
+    #: ``_ZERO``, ``_IDENTITY`` or ``_CHECKS``, set only by this module's
+    #: constructors through ``_tagged``; a caller's morphism has none.
+    _tag: ClassVar[str | None] = None
 
     def __call__(self, element: Element) -> Element:
         self.source.require(element)
@@ -46,32 +76,64 @@ class ModMorphism:
             raise ShapeMismatchError(
                 f"cannot compose: inner target {other.target} != outer source {self.source}"
             )
+        if self._tag is _IDENTITY:
+            return other
+        if other._tag is _IDENTITY:
+            return self
+        if self._tag is _ZERO and other._tag is not _CHECKS:
+            # zero_map(other.source, self.target), sharing self's zero
+            return _tagged(ModMorphism(other.source, self.target, self.action), _ZERO)
         outer, inner = self.action, other.action
-        return ModMorphism(other.source, self.target, lambda e: outer(inner(e)))
+        composite = ModMorphism(other.source, self.target, lambda e: outer(inner(e)))
+        return _composite(composite, self, other)
 
     def __add__(self, other: "ModMorphism") -> "ModMorphism":
         if not isinstance(other, ModMorphism):
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatchError("cannot add morphisms with different shapes")
+        if self._tag is _ZERO:
+            return other
+        if other._tag is _ZERO:
+            return self
         a, b = self.action, other.action
-        return ModMorphism(self.source, self.target, lambda e: a(e) + b(e))
+        return _composite(
+            ModMorphism(self.source, self.target, lambda e: a(e) + b(e)), self, other
+        )
 
     def __neg__(self) -> "ModMorphism":
+        if self._tag is _ZERO:
+            return self
         a = self.action
-        return ModMorphism(self.source, self.target, lambda e: -a(e))
+        return _composite(ModMorphism(self.source, self.target, lambda e: -a(e)), self)
 
     def __sub__(self, other: "ModMorphism") -> "ModMorphism":
         return self + (-other)
 
 
+_ZERO, _IDENTITY, _CHECKS = "zero", "identity", "checks"
+
+
+def _tagged(morphism: ModMorphism, tag: str) -> ModMorphism:
+    object.__setattr__(morphism, "_tag", tag)
+    return morphism
+
+
+def _composite(morphism: ModMorphism, *parts: ModMorphism) -> ModMorphism:
+    """``morphism``, tagged ``_CHECKS`` when one of its parts checks its images."""
+    for p in parts:
+        if p._tag is _CHECKS:
+            return _tagged(morphism, _CHECKS)
+    return morphism
+
+
 def identity(desc: FreeModule) -> ModMorphism:
-    return ModMorphism(desc, desc, lambda e: e)
+    return _tagged(ModMorphism(desc, desc, lambda e: e), _IDENTITY)
 
 
 def zero_map(source: FreeModule, target: FreeModule) -> ModMorphism:
     zero = target.zero()  # elements are immutable, so one zero serves every call
-    return ModMorphism(source, target, lambda e: zero)
+    return _tagged(ModMorphism(source, target, lambda e: zero), _ZERO)
 
 
 def scaling(desc: FreeModule, factor: int) -> ModMorphism:
@@ -120,7 +182,7 @@ def from_generator_images(
             Comb._canonical(tuple((h, acc[h]) for h in sorted(acc) if acc[h]))
         )
 
-    return ModMorphism(source, target, act)
+    return _tagged(ModMorphism(source, target, act), _CHECKS)
 
 
 def proj1(desc: DirectSum) -> ModMorphism:
@@ -149,7 +211,7 @@ def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
         raise ShapeMismatchError("paired morphisms must share their source")
     target = DirectSum(f.target, g.target)
     fa, ga = f.action, g.action
-    return ModMorphism(f.source, target, lambda e: Pair(fa(e), ga(e)))
+    return _composite(ModMorphism(f.source, target, lambda e: Pair(fa(e), ga(e))), f, g)
 
 
 def direct_sum_map(f: ModMorphism, g: ModMorphism) -> ModMorphism:
@@ -157,7 +219,9 @@ def direct_sum_map(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     source = DirectSum(f.source, g.source)
     target = DirectSum(f.target, g.target)
     fa, ga = f.action, g.action
-    return ModMorphism(source, target, lambda e: Pair(fa(e.left), ga(e.right)))
+    return _composite(
+        ModMorphism(source, target, lambda e: Pair(fa(e.left), ga(e.right))), f, g
+    )
 
 
 def _require_sum(desc: FreeModule) -> None:

@@ -67,6 +67,11 @@ class Sampler:
     def _combination(self, rng: random.Random, desc: FreeModule) -> Comb:
         if isinstance(desc, FiniteFree):
             population = desc.rank
+            if population > sys.maxsize:  # rng.sample takes len() of the range
+                raise ValueError(
+                    f"cannot sample the leaf {desc}: "
+                    f"its rank must be at most {sys.maxsize}"
+                )
         else:
             population = self.max_generator + 1
         if population == 0:

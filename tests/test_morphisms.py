@@ -10,7 +10,9 @@ from effhom import (
     Comb,
     DirectSum,
     MembershipError,
+    ModMorphism,
     Pair,
+    Sampler,
     ShapeMismatchError,
     direct_sum_map,
     from_generator_images,
@@ -25,6 +27,7 @@ from effhom import (
     scaling,
     zero_map,
 )
+from effhom.instances import cc2
 
 E = Comb(((0, 8), (4, 7)))
 
@@ -90,6 +93,44 @@ def test_bad_image_inside_composite_raises_at_application(composite):
         x = Pair(x, x)
     with pytest.raises(MembershipError):
         composite(x)
+
+
+class TestFolds:
+    """The units of the algebra are folded out when a composite is built."""
+
+    def test_zero_skips_a_raw_action(self):
+        seen = []
+        raw = ModMorphism(Z, Z, lambda e: seen.append(e) or e)
+        assert (zero_map(Z, Z) * (scaling(Z, 2) * raw))(generator(0)) == Comb(())
+        assert seen == []
+
+    def test_zero_still_runs_generator_images(self):
+        seen = []
+        checked = from_generator_images(Z, Z, lambda j: seen.append(j) or generator(0))
+        assert (zero_map(Z, Z) * (scaling(Z, 2) * checked))(generator(0)) == Comb(())
+        assert seen == [0]
+
+    def test_units_vanish(self):
+        f, z = scaling(Z, 3), zero_map(Z, Z)
+        assert identity(Z) * f is f
+        assert f * identity(Z) is f
+        assert f + z is f
+        assert z + f is f
+        assert f - z is f
+        assert -z is z
+
+    def test_a_callers_morphism_is_no_unit(self):
+        f = scaling(Z, 3)
+        assert ModMorphism(Z, Z, lambda e: e) * f is not f
+        assert f + ModMorphism(Z, Z, lambda e: Comb(())) is not f
+
+    def test_shapes_are_checked_before_folding(self):
+        with pytest.raises(ShapeMismatchError):
+            identity(Z) * zero_map(Z, COUNTABLE)
+        with pytest.raises(ShapeMismatchError):
+            zero_map(Z, Z) * zero_map(Z, COUNTABLE)
+        with pytest.raises(ShapeMismatchError):
+            zero_map(Z, Z) + zero_map(Z, COUNTABLE)
 
 
 class TestApplication:
@@ -208,3 +249,93 @@ def test_accumulation_matches_fold(pool, u):
     assert phi(u) == folded(images, u)
     cancelling = u + Comb(tuple((g + n, c) for g, c in u.terms))
     assert phi(cancelling) == folded(images, cancelling) == Comb(())
+
+
+# Random expression trees, each built twice: from the library's morphisms,
+# which fold, and from opaque copies of the same leaves, which carry no tag
+# and so fold nothing.
+ZC = DirectSum(Z, COUNTABLE)
+MODULES = (Z, COUNTABLE, ZC)
+
+
+def good_images(target):
+    if target == Z:
+        return lambda j: Comb(((0, j + 1),))
+    return lambda j: Comb(((j, 1), (j + 1, -2)))
+
+
+def leaf_pool(source, target):
+    pool = [zero_map(source, target)]
+    if source == target:
+        pool += [identity(source), scaling(source, -2), scaling(source, 3)]
+    if source == target == COUNTABLE:
+        pool += [cc2().diff_at(0), cc2().diff_at(1)]
+    if source == target == Z:
+        pool.append(BAD)
+    if source == ZC and target != ZC:
+        pool.append(proj1(ZC) if target == Z else proj2(ZC))
+    elif target == ZC and source != ZC:
+        pool.append(inj1(ZC) if source == Z else inj2(ZC))
+    elif source != ZC:
+        pool.append(from_generator_images(source, target, good_images(target)))
+    return pool
+
+
+def opaque(m):
+    return ModMorphism(m.source, m.target, m.action)
+
+
+def trees(draw, source, target, depth):
+    ops = ["leaf"]
+    if depth:
+        ops += ["*", "+", "-"]
+        if target == ZC:
+            ops.append("pair")
+            if source == ZC:
+                ops.append("direct_sum_map")
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        m = draw(st.sampled_from(leaf_pool(source, target)))
+        return m, opaque(m)
+    if op == "-":
+        f, f_ = trees(draw, source, target, depth - 1)
+        return -f, -f_
+    if op == "*":
+        middle = draw(st.sampled_from(MODULES))
+        f, f_ = trees(draw, middle, target, depth - 1)
+        g, g_ = trees(draw, source, middle, depth - 1)
+        return f * g, f_ * g_
+    if op == "+":
+        f, f_ = trees(draw, source, target, depth - 1)
+        g, g_ = trees(draw, source, target, depth - 1)
+        return f + g, f_ + g_
+    if op == "pair":
+        f, f_ = trees(draw, source, Z, depth - 1)
+        g, g_ = trees(draw, source, COUNTABLE, depth - 1)
+        return pair(f, g), pair(f_, g_)
+    f, f_ = trees(draw, Z, Z, depth - 1)
+    g, g_ = trees(draw, COUNTABLE, COUNTABLE, depth - 1)
+    return direct_sum_map(f, g), direct_sum_map(f_, g_)
+
+
+def outcome(m, x):
+    try:
+        return m(x)
+    except MembershipError:
+        return MembershipError
+
+
+@given(
+    st.data(),
+    st.sampled_from(MODULES),
+    st.sampled_from(MODULES),
+    st.integers(0, 2**32),
+)
+def test_folding_keeps_every_value(data, source, target, seed):
+    folding, unfolded = trees(data.draw, source, target, 4)
+    z = zero_map(target, target)
+    # a BAD anywhere below the outer zero must still raise
+    discarded, kept = z * folding, opaque(z) * unfolded
+    for x in Sampler(seed=seed, samples=4).elements(source, "fold"):
+        assert outcome(folding, x) == outcome(unfolded, x)
+        assert outcome(discarded, x) == outcome(kept, x)

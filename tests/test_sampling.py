@@ -70,3 +70,16 @@ def test_stream_equals_stdlib_draws(bounds, shape):
 def test_bad_bound_raises_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         Sampler(**{field: value})
+
+
+def test_finite_leaf_rank_is_bounded_by_maxsize():
+    # rng.sample takes len() of range(rank), so the largest leaf is sys.maxsize
+    s = Sampler(samples=3)
+    largest = FiniteFree(sys.maxsize)
+    rng = random.Random("0|x")
+    expected = [reference_element(rng, largest, s) for _ in range(3)]
+    assert s.elements(largest, "x") == expected
+    too_large = DirectSum(Z, FiniteFree(sys.maxsize + 1))
+    message = rf"Z\^{sys.maxsize + 1}: its rank must be at most {sys.maxsize}"
+    with pytest.raises(ValueError, match=message):
+        s.elements(too_large, "x")
