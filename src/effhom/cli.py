@@ -103,23 +103,18 @@ def _parse_range(text: str) -> range:
 
 
 def _sampler(args) -> Sampler:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.coeff_bound < 1:
-        raise UsageError("--coeff-bound must be at least 1")
-    if args.support < 1:
-        raise UsageError("--support must be at least 1")
-    if args.max_gen < 0:
-        raise UsageError("--max-gen must be at least 0")
-    if args.max_gen >= sys.maxsize:
-        raise UsageError(f"--max-gen must be at most {sys.maxsize - 1}")
-    return Sampler(
-        seed=args.seed,
-        samples=args.samples,
-        coeff_bound=args.coeff_bound,
-        max_support=args.support,
-        max_generator=args.max_gen,
-    )
+    try:
+        return Sampler(
+            seed=args.seed,
+            samples=args.samples,
+            coeff_bound=args.coeff_bound,
+            max_support=args.support,
+            max_generator=args.max_gen,
+        )
+    except ValueError as exc:  # "<field> must be ...": name the field's option
+        name, bound = str(exc).split(" ", 1)
+        option = {"max_support": "support", "max_generator": "max_gen"}.get(name, name)
+        raise UsageError(f"--{option.replace('_', '-')} {bound}") from None
 
 
 def _complex(ident: str):

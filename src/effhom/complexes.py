@@ -6,11 +6,14 @@ degree ``i``.  Negative degrees are first-class: nothing here assumes the
 complex is bounded.  Nilpotency, d(i) . d(i+1) = 0, and the chain
 morphism law, f(i) . d(i) = d'(i) . f(i+1), are equations handed to the
 law engine (``laws.run_law``), which samples them; neither is assumed.
+
+``_component`` builds, shape-checks and keeps each degree component for the
+object's lifetime, so a family is called once per degree used and must be pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
@@ -19,6 +22,18 @@ from .laws import LawReport, equals_zero, run_law
 from .modules import ZERO, DirectSum, FreeModule
 from .morphisms import ModMorphism, direct_sum_map, identity, zero_map
 from .sampling import Sampler
+
+
+def _component(owner, family, i: int, what: str, source, j: int, target, k: int):
+    """Keep one checked ``family(i)`` per owner and degree; ``family`` must be pure."""
+    if (c := owner._components.get(i)) is None:
+        c, s, t = family(i), source.module_at(j), target.module_at(k)
+        if c.source != s or c.target != t:
+            raise ShapeMismatchError(
+                f"{what} {i} has shape {c.source} -> {c.target}, expected {s} -> {t}"
+            )
+        owner._components[i] = c
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,19 +48,15 @@ class ChainComplex:
     module_family: Callable[[int], FreeModule]
     diff_family: Callable[[int], ModMorphism]
     declared_finite_type: bool = False
+    _components: dict = field(default_factory=dict, init=False, repr=False)
 
     def module_at(self, i: int) -> FreeModule:
         return self.module_family(i)
 
     def diff_at(self, i: int) -> ModMorphism:
         """The differential from degree ``i + 1`` down to degree ``i``."""
-        d = self.diff_family(i)
-        if d.source != self.module_at(i + 1) or d.target != self.module_at(i):
-            raise ShapeMismatchError(
-                f"differential at index {i} has shape {d.source} -> {d.target}, "
-                f"expected {self.module_at(i + 1)} -> {self.module_at(i)}"
-            )
-        return d
+        what = "differential at index"
+        return _component(self, self.diff_family, i, what, self, i + 1, self, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +66,11 @@ class ChainMorphism:
     source: ChainComplex
     target: ChainComplex
     family: Callable[[int], ModMorphism]
+    _components: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, i: int) -> ModMorphism:
-        f = self.family(i)
-        if f.source != self.source.module_at(i) or f.target != self.target.module_at(i):
-            raise ShapeMismatchError(
-                f"chain morphism component at degree {i} has shape "
-                f"{f.source} -> {f.target}, expected "
-                f"{self.source.module_at(i)} -> {self.target.module_at(i)}"
-            )
-        return f
+        what = "chain morphism component at degree"
+        return _component(self, self.family, i, what, self.source, i, self.target, i)
 
 
 @cache

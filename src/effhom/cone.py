@@ -13,10 +13,8 @@ matching module descriptions, and a mismatch raises when the degree
 component is constructed, not when it is first applied to an element.
 
 ``cone_effective_homology`` is ``effective_homology`` of that reduction.
-``cone_contraction``, k(i)(x, y) = (g(i+1)(y) - h(i)(x), 0) on the cone of a
-reduction's own f, is the h of a composite: the cone of f reduces (with the
-identity reduction of the bottom) onto the cone of f . g = id, which
-contracts onto ``null`` by (u, v) -> (v, 0).
+``cone_contraction`` is ``perturb_homotopy`` of the contraction (u, v) -> (v, 0)
+of the cone of f . g = id through the cone reduction of a reduction's own f.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from .reduction import (
     EffectiveHomology,
     HomotopyOperator,
     Reduction,
-    _onto_null,
-    compose,
     effective_homology,
+    perturb_homotopy,
     zero_homotopy,
 )
 
@@ -128,4 +125,4 @@ def cone_contraction(r: Reduction) -> HomotopyOperator:
         domain = over.module_at(i)
         return pair(proj2(domain), zero_map(domain, b.module_at(i + 2)))
 
-    return compose(onto, _onto_null(over, HomotopyOperator(over, swap_at))).h
+    return perturb_homotopy(onto, HomotopyOperator(over, swap_at))

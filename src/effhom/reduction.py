@@ -28,12 +28,13 @@ a caller promises, after sampling them; a violation raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .complexes import (
     ChainComplex,
     ChainMorphism,
+    _component,
     null_complex,
     zero_chain_morphism,
 )
@@ -61,15 +62,11 @@ class HomotopyOperator:
 
     over: ChainComplex
     family: Callable[[int], ModMorphism]
+    _components: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, i: int) -> ModMorphism:
-        h = self.family(i)
-        if h.source != self.over.module_at(i) or h.target != self.over.module_at(i + 1):
-            raise ShapeMismatchError(
-                f"homotopy component at degree {i} has shape {h.source} -> {h.target},"
-                f" expected {self.over.module_at(i)} -> {self.over.module_at(i + 1)}"
-            )
-        return h
+        what = "homotopy component at degree"
+        return _component(self, self.family, i, what, self.over, i, self.over, i + 1)
 
 
 def zero_homotopy(cc: ChainComplex) -> HomotopyOperator:

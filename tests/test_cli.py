@@ -316,12 +316,19 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "option, value, message",
         [
+            ("--samples", "0", "must be at least 1"),
             ("--coeff-bound", "0", "must be at least 1"),
             ("--support", "0", "must be at least 1"),
             ("--max-gen", "-1", "must be at least 0"),
             ("--max-gen", str(sys.maxsize), f"must be at most {sys.maxsize - 1}"),
         ],
-        ids=["--coeff-bound-0-1", "--support-0-1", "--max-gen--1-0", "--max-gen-maxsize"],
+        ids=[
+            "--samples-0-1",
+            "--coeff-bound-0-1",
+            "--support-0-1",
+            "--max-gen--1-0",
+            "--max-gen-maxsize",
+        ],
     )
     def test_sampler_bounds(self, capsys, option, value, message):
         # --max-gen -1 would otherwise pass vacuously on all-zero samples, and

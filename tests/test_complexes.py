@@ -67,8 +67,40 @@ class TestDiffAt:
 
     def test_incompatible_family_rejected(self):
         broken = ChainComplex(lambda i: Z, lambda i: zero_map(COUNTABLE, Z))
-        with pytest.raises(ShapeMismatchError):
-            broken.diff_at(0)
+        message = "differential at index 0 has shape Z[N] -> Z, expected Z -> Z"
+        for _ in range(2):  # a component that fails its check is not kept
+            with pytest.raises(ShapeMismatchError) as info:
+                broken.diff_at(0)
+            assert str(info.value) == message
+
+    def test_component_kept_per_object_and_degree(self):
+        calls = []
+
+        def diff(i):
+            calls.append(i)
+            return scaling(Z, 2)
+
+        cc = ChainComplex(lambda i: Z, diff)
+        assert cc.diff_at(0) is cc.diff_at(0)
+        assert cc.diff_at(1) is not cc.diff_at(0)
+        assert calls == [0, 1]
+        # replace() makes fcc1 a new object with its own components
+        assert fcc1().diff_at(0) is not cc1().diff_at(0)
+
+    def test_family_that_raises_is_called_again(self):
+        calls = []
+
+        def diff(i):
+            calls.append(i)
+            if len(calls) == 1:
+                raise RuntimeError("first call fails")
+            return scaling(Z, 2)
+
+        cc = ChainComplex(lambda i: Z, diff)
+        with pytest.raises(RuntimeError):
+            cc.diff_at(0)
+        assert cc.diff_at(0)(as_int(3)) == as_int(6)
+        assert calls == [0, 0]
 
 
 class TestNilpotency:
@@ -121,8 +153,17 @@ class TestChainMorphism:
 
     def test_component_shape_validated(self):
         bad = ChainMorphism(cc1(), cc2(), lambda i: identity(Z))
-        with pytest.raises(ShapeMismatchError):
-            bad.at(0)
+        message = (
+            "chain morphism component at degree 0 has shape Z -> Z, expected Z -> Z[N]"
+        )
+        for _ in range(2):  # a component that fails its check is not kept
+            with pytest.raises(ShapeMismatchError) as info:
+                bad.at(0)
+            assert str(info.value) == message
+
+    def test_component_kept(self):
+        f = alpha_pi1()
+        assert f.at(3) is f.at(3)
 
 
 class TestDirectSum:

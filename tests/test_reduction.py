@@ -236,8 +236,17 @@ class TestPreimage:
 class TestHomotopyShape:
     def test_operator_shape_validated(self):
         bad = HomotopyOperator(cc2(), lambda i: zero_map(COUNTABLE, Z))
-        with pytest.raises(Exception):
-            bad.at(0)
+        message = (
+            "homotopy component at degree 0 has shape Z[N] -> Z, expected Z[N] -> Z[N]"
+        )
+        for _ in range(2):  # a component that fails its check is not kept
+            with pytest.raises(ShapeMismatchError) as info:
+                bad.at(0)
+            assert str(info.value) == message
+
+    def test_component_kept(self):
+        h = h_top()
+        assert h.at(0) is h.at(0)
 
     def test_componentwise_operator_matches_diagram(self):
         # the projection reduction's homotopy: zero on the first summand
