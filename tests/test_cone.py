@@ -32,6 +32,8 @@ from effhom import (
     cone_contraction,
     cone_effective_homology,
     cone_reduction,
+    from_generator_images,
+    generator,
     identity_chain_morphism,
     null_complex,
     pair,
@@ -50,10 +52,12 @@ from effhom.instances import (
     cc2_to_null,
     cone_example,
     idz2x0,
+    sum12,
     zxznat,
 )
 
 SAMPLER = Sampler(seed=7)
+WIDE = Sampler(seed=7, coeff_bound=10**12, max_support=200, max_generator=1000)
 WINDOW = range(-8, 9)
 
 
@@ -132,6 +136,36 @@ class TestConeReduction:
         r = cone_example().reduction
         assert check_chain_morphism(r.f, WINDOW, SAMPLER, law="f:fd=df").ok
         assert check_chain_morphism(r.g, WINDOW, SAMPLER, law="g:fd=df").ok
+
+    @pytest.mark.parametrize("sampler", [SAMPLER, WIDE], ids=["default", "wide"])
+    def test_laws_with_nonzero_cross_terms(self, sampler):
+        # f2.alpha.h1, h2.alpha.g1 and h2.alpha.h1 are all nonzero here, so a
+        # wrong sign on any one of them breaks dh+hd+gf=id
+        r, top = zxznat().reduction, sum12()
+
+        def b(i):
+            return from_generator_images(
+                COUNTABLE, Z, lambda k: Comb(((0, 2 - i % 2),)) if k == 0 else Z.zero()
+            )
+
+        def c(i):
+            return from_generator_images(Z, COUNTABLE, lambda k: Comb(((0, 1 + i % 2),)))
+
+        def e(i):
+            return from_generator_images(
+                COUNTABLE,
+                COUNTABLE,
+                lambda k: generator(k + 1) if (k - i) % 2 else COUNTABLE.zero(),
+            )
+
+        def alpha_at(i):
+            p1, p2 = proj1(top.module_at(i)), proj2(top.module_at(i))
+            return pair(b(i) * p2, c(i) * p1 + e(i) * p2)
+
+        alpha = ChainMorphism(top, top, alpha_at)
+        assert check_chain_morphism(alpha, WINDOW, sampler).ok
+        report = check_reduction_laws(cone_reduction(r, r, alpha), WINDOW, sampler)
+        assert report.ok, report.to_text()
 
     def test_trivial_inputs(self):
         null = null_complex()
