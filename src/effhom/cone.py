@@ -1,16 +1,27 @@
 """The cone of a chain morphism and its reduction.
 
 For a chain morphism ``alpha: CC -> CC'`` the cone has degree-``i`` module
-``M(i) (+) M'(i+1)`` and twisted differential
+``M(i) (+) M'(i+1)``.  Its differential and the three maps of its reduction
+are each one lower-triangular block (x, y) -> (a x, b x + c y), written
+[[a, 0], [b, c]] and built by ``_lower(a, b, c)``:
 
-    d''(i)(x, x') = (-d(i)(x), d'(i+1)(x') + alpha(i+1)(x)).
+    d''(i) = [[-d(i), 0], [alpha(i+1), d'(i+1)]]
 
-Given reductions of both complexes and a morphism ``alpha`` between their
-tops, the cone of ``alpha`` reduces onto the cone of the induced bottom
-morphism ``alpha' = f' . alpha . g``; the degree bookkeeping of the three
-reduction morphisms is fixed here so that every composite is built over
-matching module descriptions, and a mismatch raises when the degree
-component is constructed, not when it is first applied to an element.
+Given reductions (f1, g1, h1) of CC and (f2, g2, h2) of CC', the cone of
+``alpha`` reduces onto the cone of the induced bottom morphism
+``f2 . alpha . g1``.  That is the basic perturbation lemma for the direct
+sum (f0, g0, h0) = (f1 (+) f2, g1 (+) g2, (-h1) (+) h2) perturbed by
+delta = [[0, 0], [alpha, 0]].  As delta h0 delta = 0, its series stops after
+one term: f = f0 - f0 delta h0, g = g0 - h0 delta g0, h = h0 - h0 delta h0,
+and the bottom differential is d0' + f0 delta g0.  The b-entries are these
+cross terms, at degree i:
+
+    f(i) = [[f1(i), 0], [f2(i+1) . alpha(i+1) . h1(i), f2(i+1)]]
+    g(i) = [[g1(i), 0], [-h2(i) . alpha(i) . g1(i), g2(i+1)]]
+    h(i) = [[-h1(i), 0], [h2(i+1) . alpha(i+1) . h1(i), h2(i+1)]]
+
+Every block is built over matching module descriptions, so a degree
+mismatch raises when a component is constructed, not when it is applied.
 
 ``cone_effective_homology`` is ``effective_homology`` of that reduction.
 ``cone_contraction`` is ``perturb_homotopy`` of the contraction (u, v) -> (v, 0)
@@ -22,7 +33,7 @@ from __future__ import annotations
 from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
 from .errors import ShapeMismatchError
 from .modules import DirectSum
-from .morphisms import pair, proj1, proj2, zero_map
+from .morphisms import ModMorphism, pair, proj1, proj2, zero_map
 from .reduction import (
     EffectiveHomology,
     HomotopyOperator,
@@ -33,23 +44,19 @@ from .reduction import (
 )
 
 
+def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
+    """The block map (x, y) -> (a x, b x + c y) out of ``a.source (+) c.source``."""
+    domain = DirectSum(a.source, c.source)
+    p1, p2 = proj1(domain), proj2(domain)
+    return pair(a * p1, b * p1 + c * p2)
+
+
 def cone(alpha: ChainMorphism) -> ChainComplex:
     """The mapping cone of ``alpha``."""
     src, tgt = alpha.source, alpha.target
-
-    def module_at(i):
-        return DirectSum(src.module_at(i), tgt.module_at(i + 1))
-
-    def diff(i):
-        domain = module_at(i + 1)
-        p1, p2 = proj1(domain), proj2(domain)
-        first = -(src.diff_at(i) * p1)
-        second = tgt.diff_at(i + 1) * p2 + alpha.at(i + 1) * p1
-        return pair(first, second)
-
     return ChainComplex(
-        module_at,
-        diff,
+        lambda i: DirectSum(src.module_at(i), tgt.module_at(i + 1)),
+        lambda i: _lower(-src.diff_at(i), alpha.at(i + 1), tgt.diff_at(i + 1)),
         declared_finite_type=src.declared_finite_type and tgt.declared_finite_type,
     )
 
@@ -73,28 +80,16 @@ def cone_reduction(r1: Reduction, r2: Reduction, alpha: ChainMorphism) -> Reduct
     bottom = cone(bottom_morphism(r1, r2, alpha))
 
     def f_at(i):
-        domain = top.module_at(i)
-        p1, p2 = proj1(domain), proj2(domain)
-        first = r1.f.at(i) * p1
-        via_h = r2.f.at(i + 1) * alpha.at(i + 1) * r1.h.at(i) * p1
-        second = via_h + r2.f.at(i + 1) * p2
-        return pair(first, second)
+        f2 = r2.f.at(i + 1)
+        return _lower(r1.f.at(i), f2 * alpha.at(i + 1) * r1.h.at(i), f2)
 
     def g_at(i):
-        domain = bottom.module_at(i)
-        p1, p2 = proj1(domain), proj2(domain)
-        lift = r1.g.at(i) * p1
-        via_h = -(r2.h.at(i) * alpha.at(i) * lift)
-        second = via_h + r2.g.at(i + 1) * p2
-        return pair(lift, second)
+        g1 = r1.g.at(i)
+        return _lower(g1, -(r2.h.at(i) * alpha.at(i) * g1), r2.g.at(i + 1))
 
     def h_at(i):
-        domain = top.module_at(i)
-        p1, p2 = proj1(domain), proj2(domain)
-        lift = r1.h.at(i) * p1
-        first = -lift
-        second = r2.h.at(i + 1) * alpha.at(i + 1) * lift + r2.h.at(i + 1) * p2
-        return pair(first, second)
+        h1, h2 = r1.h.at(i), r2.h.at(i + 1)
+        return _lower(-h1, h2 * alpha.at(i + 1) * h1, h2)
 
     return Reduction(
         top,

@@ -176,6 +176,8 @@ def compose(r: Reduction, s: Reduction) -> Reduction:
 
 def _onto_null(cc: ChainComplex, h: HomotopyOperator) -> Reduction:
     """``cc`` onto ``null`` with zero f and g: a reduction when h contracts cc."""
+    if h.over is not cc:
+        raise ShapeMismatchError("the homotopy must act on the complex it contracts")
     null = null_complex()
     f, g = zero_chain_morphism(cc, null), zero_chain_morphism(null, cc)
     return Reduction(cc, null, f, g, h)

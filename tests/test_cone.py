@@ -145,7 +145,7 @@ class TestConeReduction:
 
         def b(i):
             return from_generator_images(
-                COUNTABLE, Z, lambda k: Comb(((0, 2 - i % 2),)) if k == 0 else Z.zero()
+                COUNTABLE, Z, lambda k: Comb(((0, 2 - i % 2),) if k == 0 else ())
             )
 
         def c(i):

@@ -1,5 +1,7 @@
 """Reduction laws, contracting homotopies, perturbation, pre-images."""
 
+from dataclasses import replace
+
 import pytest
 
 from effhom import (
@@ -132,6 +134,11 @@ class TestAcyclicToNull:
         ]
         assert [s.violations > 0 for s in sections] == [False, True, False, False, False]
 
+    def test_homotopy_over_another_complex_is_refused(self):
+        # an equal but distinct copy of cc2: hcc2 would contract it pointwise
+        with pytest.raises(ShapeMismatchError, match="complex it contracts"):
+            acyclic_to_null_effective_homology(replace(cc2()), hcc2())
+
 
 class TestPerturb:
     def test_zero_bottom_homotopy_is_identity_perturbation(self):
@@ -140,6 +147,11 @@ class TestPerturb:
         for i in (-2, 0, 3):
             for e in SAMPLER.elements(r.top.module_at(i), f"perturb@{i}"):
                 assert perturbed.at(i)(e) == r.h.at(i)(e)
+
+    def test_bottom_homotopy_over_another_complex_is_refused(self):
+        # zxznat ends at fcc1, not at the equal-shaped cc1
+        with pytest.raises(ShapeMismatchError, match="complex it contracts"):
+            perturb_homotopy(zxznat().reduction, zero_homotopy(cc1()))
 
     def test_transported_homotopy_contracts_the_top(self):
         top = cone_example().reduction.top
