@@ -145,7 +145,7 @@ def _reduction(ident: str, law: str):
 
 def _emit_report(report: LawReport, args) -> int:
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        print(report.to_json_text())
     else:
         print(report.to_text())
     return 0 if report.ok else 1

@@ -21,7 +21,9 @@ per sample and one summary line per law, in the form
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .errors import ShapeMismatchError
@@ -92,34 +94,48 @@ class LawReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "violations": self.violations,
-            "laws": [
-                {
-                    "law": s.law,
-                    "degrees": {"lo": s.lo, "hi": s.hi},
-                    "samples": s.sampler.samples,
-                    "seed": s.sampler.seed,
-                    "violations": s.violations,
-                    "records": [
-                        {
-                            "degree": r.degree,
-                            "sample": r.sample,
-                            "verdict": "pass" if r.ok else "fail",
-                            **({} if r.ok else {"input": r.input, "output": r.output}),
-                        }
-                        for r in s.records
-                    ],
-                }
-                for s in self.sections
-            ],
-        }
+        """The report as JSON data, read back from ``to_json_text``."""
+        return json.loads(self.to_json_text())
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, written directly."""
+        laws = ",\n".join(map(_section_json, self.sections))
+        laws = f"[\n{laws}\n  ]" if laws else "[]"
+        return f'{{\n  "violations": {self.violations},\n  "laws": {laws}\n}}'
 
     def merged(self, *others: "LawReport") -> "LawReport":
         sections = list(self.sections)
         for other in others:
             sections.extend(other.sections)
         return LawReport(tuple(sections))
+
+
+def _string(value: str | None) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _section_json(s: LawSection) -> str:
+    records = ",\n".join(map(_record_json, s.records))
+    records = f"[\n{records}\n      ]" if records else "[]"
+    return (
+        f'    {{\n      "law": {_string(s.law)},\n'
+        f'      "degrees": {{\n        "lo": {s.lo},\n        "hi": {s.hi}\n      }},\n'
+        f'      "samples": {s.sampler.samples},\n      "seed": {s.sampler.seed},\n'
+        f'      "violations": {s.violations},\n      "records": {records}\n    }}'
+    )
+
+
+def _record_json(r: LawRecord) -> str:
+    head = (
+        f'        {{\n          "degree": {r.degree},\n'
+        f'          "sample": {r.sample},\n          "verdict": '
+    )
+    if r.ok:
+        return head + '"pass"\n        }'
+    return (
+        f'{head}"fail",\n          "input": {_string(r.input)},\n'
+        f'          "output": {_string(r.output)}\n        }}'
+    )
 
 
 def equals_zero(lhs: ModMorphism) -> tuple[ModMorphism, ModMorphism]:

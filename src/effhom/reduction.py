@@ -156,6 +156,10 @@ def check_homotopy_squares_to_zero(
     cc: ChainComplex, h: HomotopyOperator, degrees, sampler: Sampler
 ) -> LawReport:
     """Sample h(i+1) . h(i) = 0 on elements at degree i; ``h`` acts on ``cc``."""
+    if h.over is not cc:
+        raise ShapeMismatchError(
+            "the homotopy must act on the complex it is checked on"
+        )
     return LawReport((_squares_to_zero(h, degrees, sampler),))
 
 

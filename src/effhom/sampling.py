@@ -11,8 +11,12 @@ takes ``n.bit_length()`` bits and redraws while the result is ``>= n``.
 That is how ``random`` implements ``randint`` and ``choice``, so the
 support size ``randint(1, s)`` and each coefficient
 ``choice((1, -1)) * randint(1, bound)`` are the stdlib draws, value for
-value, without their call layers.  The generators of a combination come
-from ``rng.sample``.
+value, without their call layers.  The generators of a combination are
+``rng.sample(range(population), support)``, drawn by ``_sample``, which
+takes ``random.sample``'s steps on ``_below``.  Through ``random.sample``
+the population is a ``range``, whose ``len()`` must fit in ``sys.maxsize``;
+the bounds on ``max_generator`` and on a leaf's rank keep that limit, so
+the stream stays defined as the stdlib's.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from math import ceil, log
 
 from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves
 
@@ -31,6 +36,32 @@ def _below(bits, n: int) -> int:
     while r >= n:
         r = bits(k)
     return r
+
+
+def _sample(bits, n: int, k: int) -> list[int]:
+    """``random.sample(range(n), k)``, step for step, as an unordered list.
+
+    A pool of ``n`` swaps when it is smaller than a set of ``k``; otherwise
+    a draw is redrawn while it is already taken.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        result = []
+        for i in range(k):
+            j = _below(bits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = _below(bits, n)
+        while j in selected:
+            j = _below(bits, n)
+        selected.add(j)
+    return list(selected)
 
 
 @dataclass(frozen=True)
@@ -52,22 +83,26 @@ class Sampler:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        # rng.sample takes len() of range(max_generator + 1)
+        # the stream is rng.sample's, which takes len() of range(max_generator + 1)
         if self.max_generator >= sys.maxsize:
             raise ValueError(f"max_generator must be at most {sys.maxsize - 1}")
 
     def elements(self, desc: FreeModule, label: str) -> list[Element]:
         rng = random.Random(f"{self.seed}|{label}")
-        return [self.element(rng, desc) for _ in range(self.samples)]
+        shape = leaves(desc)
+        return [self._element(rng, desc, shape) for _ in range(self.samples)]
 
     def element(self, rng: random.Random, desc: FreeModule) -> Element:
         """One member of ``desc``, its leaves drawn left to right."""
-        return join(desc, (self._combination(rng, leaf) for leaf in leaves(desc)))
+        return self._element(rng, desc, leaves(desc))
+
+    def _element(self, rng: random.Random, desc: FreeModule, shape) -> Element:
+        return join(desc, (self._combination(rng, leaf) for leaf in shape))
 
     def _combination(self, rng: random.Random, desc: FreeModule) -> Comb:
         if isinstance(desc, FiniteFree):
             population = desc.rank
-            if population > sys.maxsize:  # rng.sample takes len() of the range
+            if population > sys.maxsize:  # rng.sample's len() of the range
                 raise ValueError(
                     f"cannot sample the leaf {desc}: "
                     f"its rank must be at most {sys.maxsize}"
@@ -80,7 +115,7 @@ class Sampler:
         support = 1 + _below(bits, min(self.max_support, population))
         width = bound.bit_length()
         terms = []
-        for g in sorted(rng.sample(range(population), support)):
+        for g in sorted(_sample(bits, population, support)):
             # _below(bits, 2), then _below(bits, bound), written out per term
             negative = bits(2)
             while negative >= 2:

@@ -171,6 +171,21 @@ class TestCheck:
             "fg=id", "dh+hd+gf=id", "fh=0", "hg=0", "hh=0",
         ]
 
+    @pytest.mark.parametrize(
+        "ident, law, expected_code",
+        [
+            ("cc2", "nilpotency", 0),
+            ("zxznat", "chain-morphism", 0),
+            ("cone-example", "reduction", 0),
+            ("cone-example", "contracting:htop", 0),
+            ("cone-example.bottom", "contracting:h1", 1),
+        ],
+    )
+    def test_json_is_json_dumps_indent_2(self, capsys, ident, law, expected_code):
+        code, out, _ = run_cli(capsys, "check", ident, law, "--format", "json")
+        assert code == expected_code
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_determinism(self, capsys):
         args = (
             "check", "zxznat", "reduction",
@@ -332,7 +347,8 @@ class TestUsageErrors:
     )
     def test_sampler_bounds(self, capsys, option, value, message):
         # --max-gen -1 would otherwise pass vacuously on all-zero samples, and
-        # sys.maxsize would overflow the len() that rng.sample takes
+        # sys.maxsize would overflow the len() that rng.sample, which defines
+        # the stream, takes
         code, out, err = run_cli(capsys, "check", "cc2", "nilpotency", option, value)
         assert code == 2
         assert f"{option} {message}" in err

@@ -18,7 +18,9 @@ from effhom import (
     Z,
     ChainComplex,
     ChainMorphism,
+    LawRecord,
     LawReport,
+    LawSection,
     Reduction,
     Sampler,
     ShapeMismatchError,
@@ -36,7 +38,16 @@ from effhom import (
     zero_homotopy,
     zero_map,
 )
-from effhom.instances import cc2, cc2_to_null, cone_example, fcc1, h1_bottom, hcc2, sum12
+from effhom.instances import (
+    cc2,
+    cc2_to_null,
+    cone_example,
+    fcc1,
+    h1_bottom,
+    hcc2,
+    sum12,
+    zxznat,
+)
 
 SAMPLER = Sampler(seed=7, samples=2)
 WINDOW = range(0, 2)
@@ -188,6 +199,66 @@ def test_golden_text(name):
 def test_golden_json(name):
     report, _, data = GOLDEN[name]
     assert json.dumps(report().to_json()) == data
+
+
+def expected_json(report):
+    """The JSON data of a report, built from its sections and records."""
+    return {
+        "violations": sum(1 for s in report.sections for r in s.records if not r.ok),
+        "laws": [
+            {
+                "law": s.law,
+                "degrees": {"lo": s.lo, "hi": s.hi},
+                "samples": s.sampler.samples,
+                "seed": s.sampler.seed,
+                "violations": sum(1 for r in s.records if not r.ok),
+                "records": [
+                    {"degree": r.degree, "sample": r.sample, "verdict": "pass"}
+                    if r.ok
+                    else {
+                        "degree": r.degree,
+                        "sample": r.sample,
+                        "verdict": "fail",
+                        "input": r.input,
+                        "output": r.output,
+                    }
+                    for r in s.records
+                ],
+            }
+            for s in report.sections
+        ],
+    }
+
+
+def odd_names_report():
+    # a law name and failure strings that json.dumps must escape
+    name = 'q"b\\s\u00e9\u2200'
+    records = (
+        LawRecord(name, -1, 0, False, 'in "\\\n', "\u00fc\U0001d400"),
+        LawRecord(name, 0, 0, True),
+    )
+    return LawReport((LawSection(name, -1, 0, Sampler(seed=-3, samples=1), records),))
+
+
+REPORTS = {
+    "empty": lambda: LawReport(()),
+    "passing": lambda: check_homotopy_squares_to_zero(cc2(), hcc2(), WINDOW, SAMPLER),
+    "failing-h1": GOLDEN["contracting"][0],
+    "merged-chain-morphism": lambda: check_chain_morphism(
+        zxznat().reduction.f, WINDOW, SAMPLER, law="f:fd=df"
+    ).merged(
+        check_chain_morphism(zxznat().reduction.g, WINDOW, SAMPLER, law="g:fd=df")
+    ),
+    "odd-names": odd_names_report,
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_json_text_is_json_dumps_indent_2(name):
+    report = REPORTS[name]()
+    expected = expected_json(report)
+    assert report.to_json_text() == json.dumps(expected, indent=2)
+    assert report.to_json() == expected
 
 
 def test_reduction_hh_section_is_the_shared_equation():

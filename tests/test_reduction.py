@@ -19,6 +19,7 @@ from effhom import (
     ShapeMismatchError,
     acyclic_to_null_effective_homology,
     check_contracting,
+    check_homotopy_squares_to_zero,
     check_reduction_laws,
     compose,
     direct_sum_map,
@@ -93,6 +94,12 @@ class TestContracting:
         for i in (-3, 0, 4):
             for e in SAMPLER.elements(COUNTABLE, f"hh@{i}"):
                 assert h.at(i + 1)(h.at(i)(e)) == Comb(())
+
+    def test_squares_to_zero_refuses_a_homotopy_over_another_complex(self):
+        # an equal but distinct copy of cc2, which hcc2 does not act on
+        assert check_homotopy_squares_to_zero(cc2(), hcc2(), WINDOW, SAMPLER).ok
+        with pytest.raises(ShapeMismatchError, match="complex it is checked on"):
+            check_homotopy_squares_to_zero(replace(cc2()), hcc2(), WINDOW, SAMPLER)
 
     def test_bottom_h2_contracts_everywhere(self):
         bottom = cone_example().reduction.bottom

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from effhom import COUNTABLE, Comb, DirectSum, FiniteFree, Pair, Sampler, Z
+from effhom.sampling import _sample
 
 SHAPES = {
     "zero": FiniteFree(0),
@@ -73,7 +74,8 @@ def test_bad_bound_raises_at_construction(field, value):
 
 
 def test_finite_leaf_rank_is_bounded_by_maxsize():
-    # rng.sample takes len() of range(rank), so the largest leaf is sys.maxsize
+    # the stream is rng.sample's, which takes len() of range(rank), so the
+    # largest leaf is sys.maxsize
     s = Sampler(samples=3)
     largest = FiniteFree(sys.maxsize)
     rng = random.Random("0|x")
@@ -83,3 +85,27 @@ def test_finite_leaf_rank_is_bounded_by_maxsize():
     message = rf"Z\^{sys.maxsize + 1}: its rank must be at most {sys.maxsize}"
     with pytest.raises(ValueError, match=message):
         s.elements(too_large, "x")
+
+
+#: (n, k): both branches of random.sample on each side of its set-size edge,
+#: which is 21 for k <= 5, 21 + 4**3 = 85 for k = 6 and 21 + 4**5 = 1045 for
+#: k = 86, plus k = n and n = 1
+DRAWS = [
+    (21, 5), (22, 5),
+    (85, 6), (86, 6),
+    (1045, 86), (1046, 86),
+    (17, 17), (22, 22), (200, 200),
+    (1, 1),
+    (sys.maxsize, 5),
+]
+
+
+@pytest.mark.parametrize("n, k", DRAWS)
+def test_sample_equals_stdlib_sample(n, k):
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = _sample(ours.getrandbits, n, k)
+        assert len(drawn) == k
+        assert set(drawn) == set(theirs.sample(range(n), k)), (n, k, seed)
+        # the two streams stand at the same place afterwards
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
