@@ -40,21 +40,21 @@ from .instances import (
     resolve_homotopy,
 )
 from .laws import LawReport
-from .reduction import check_contracting, check_reduction_laws, preimage
+from .reduction import DEFAULT_DEGREES, check_contracting, check_reduction_laws, preimage
 from .sampling import Sampler
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-_VALUE_OPTIONS = {
-    "--degrees",
-    "--samples",
-    "--seed",
-    "--coeff-bound",
-    "--support",
-    "--max-gen",
-    "--format",
-    "--h",
+#: Each ``Sampler`` field and the ``check`` option that sets it, in ``--help`` order.
+_SAMPLER_OPTIONS = {
+    "samples": "--samples",
+    "seed": "--seed",
+    "coeff_bound": "--coeff-bound",
+    "max_support": "--support",
+    "max_generator": "--max-gen",
 }
+
+_VALUE_OPTIONS = {*_SAMPLER_OPTIONS.values(), "--degrees", "--format", "--h"}
 
 
 class UsageError(Exception):
@@ -103,18 +103,16 @@ def _parse_range(text: str) -> range:
 
 
 def _sampler(args) -> Sampler:
+    # argparse keeps each value under its option's name, "-" read as "_"
+    values = {
+        name: getattr(args, option[2:].replace("-", "_"))
+        for name, option in _SAMPLER_OPTIONS.items()
+    }
     try:
-        return Sampler(
-            seed=args.seed,
-            samples=args.samples,
-            coeff_bound=args.coeff_bound,
-            max_support=args.support,
-            max_generator=args.max_gen,
-        )
+        return Sampler(**values)
     except ValueError as exc:  # "<field> must be ...": name the field's option
         name, bound = str(exc).split(" ", 1)
-        option = {"max_support": "support", "max_generator": "max_gen"}.get(name, name)
-        raise UsageError(f"--{option.replace('_', '-')} {bound}") from None
+        raise UsageError(f"{_SAMPLER_OPTIONS[name]} {bound}") from None
 
 
 def _complex(ident: str):
@@ -283,12 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "law", help="nilpotency | chain-morphism | reduction | contracting:NAME"
     )
-    p.add_argument("--degrees", default="-8..8")
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coeff-bound", type=int, default=20)
-    p.add_argument("--support", type=int, default=5)
-    p.add_argument("--max-gen", type=int, default=16)
+    p.add_argument("--degrees", default=f"{DEFAULT_DEGREES[0]}..{DEFAULT_DEGREES[-1]}")
+    for name, option in _SAMPLER_OPTIONS.items():
+        p.add_argument(option, type=int, default=getattr(Sampler, name))
     add_format(p)
     p.set_defaults(handler=cmd_check)
 

@@ -30,6 +30,8 @@ of the cone of f . g = id through the cone reduction of a reduction's own f.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
 from .errors import ShapeMismatchError
 from .modules import DirectSum
@@ -51,8 +53,9 @@ def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
     return pair(a * p1, b * p1 + c * p2)
 
 
+@cache
 def cone(alpha: ChainMorphism) -> ChainComplex:
-    """The mapping cone of ``alpha``."""
+    """The mapping cone of ``alpha``, one complex per morphism."""
     src, tgt = alpha.source, alpha.target
     return ChainComplex(
         lambda i: DirectSum(src.module_at(i), tgt.module_at(i + 1)),
@@ -114,10 +117,14 @@ def cone_contraction(r: Reduction) -> HomotopyOperator:
     """
     b, one = r.bottom, identity_chain_morphism(r.bottom)
     onto = cone_reduction(r, Reduction(b, b, one, one, zero_homotopy(b)), r.f)
-    over = onto.bottom
+    return perturb_homotopy(onto, _swap(onto.bottom))
 
-    def swap_at(i):
+
+def _swap(over: ChainComplex) -> HomotopyOperator:
+    """(a, b) -> (b, 0) on a cone whose two sides have the same modules."""
+
+    def at(i):
         domain = over.module_at(i)
-        return pair(proj2(domain), zero_map(domain, b.module_at(i + 2)))
+        return pair(proj2(domain), zero_map(domain, over.module_at(i + 1).right))
 
-    return perturb_homotopy(onto, HomotopyOperator(over, swap_at))
+    return HomotopyOperator(over, at)

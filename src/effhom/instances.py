@@ -24,7 +24,7 @@ from .complexes import (
     direct_sum_complex,
     null_complex,
 )
-from .cone import cone_effective_homology
+from .cone import _swap, cone_effective_homology
 from .modules import COUNTABLE, Z, Comb
 from .morphisms import (
     ModMorphism,
@@ -32,7 +32,6 @@ from .morphisms import (
     identity,
     pair,
     proj1,
-    proj2,
     scaling,
     zero_map,
 )
@@ -193,13 +192,7 @@ def h1_bottom() -> HomotopyOperator:
 @cache
 def h2_bottom() -> HomotopyOperator:
     """Contracting homotopy (a, b) -> (b, 0) on the example bottom cone."""
-    bottom = cone_example().reduction.bottom
-
-    def family(i):
-        domain = bottom.module_at(i)
-        return pair(proj2(domain), zero_map(domain, Z))
-
-    return HomotopyOperator(bottom, family)
+    return _swap(cone_example().reduction.bottom)
 
 
 @cache

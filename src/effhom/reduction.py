@@ -140,10 +140,18 @@ def _squares_to_zero(h: HomotopyOperator, degrees, sampler: Sampler) -> LawSecti
     return run_law("hh=0", degrees, sampler, sides)
 
 
+def _require_over(cc: ChainComplex, h: HomotopyOperator) -> None:
+    if h.over is not cc:
+        raise ShapeMismatchError(
+            "the homotopy must act on the complex it is checked on"
+        )
+
+
 def check_contracting(
     cc: ChainComplex, h: HomotopyOperator, degrees, sampler: Sampler
 ) -> LawReport:
     """Sample d(i) . h(i) + h(i-1) . d(i-1) = id on elements at degree i."""
+    _require_over(cc, h)
     d = cc.diff_at
 
     def sides(i):
@@ -156,10 +164,7 @@ def check_homotopy_squares_to_zero(
     cc: ChainComplex, h: HomotopyOperator, degrees, sampler: Sampler
 ) -> LawReport:
     """Sample h(i+1) . h(i) = 0 on elements at degree i; ``h`` acts on ``cc``."""
-    if h.over is not cc:
-        raise ShapeMismatchError(
-            "the homotopy must act on the complex it is checked on"
-        )
+    _require_over(cc, h)
     return LawReport((_squares_to_zero(h, degrees, sampler),))
 
 
@@ -208,6 +213,7 @@ def preimage(cc: ChainComplex, h: HomotopyOperator, i: int, x: Element) -> Eleme
     d(h(x)) differs from x the homotopy is not contracting at this point
     and a ``PreimageVerificationError`` reports both z and d(z).
     """
+    _require_over(cc, h)
     boundary = cc.diff_at(i - 1)(x)
     if boundary != cc.module_at(i - 1).zero():
         raise NotACycleError(

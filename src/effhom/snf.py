@@ -74,32 +74,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix shapes do not compose")
-        n = other.cols
-        right = [
-            [(j, x) for j, x in enumerate(other.row(k)) if x]
-            for k in range(other.rows)
-        ]
-        out = []
-        for i in range(self.rows):
-            acc = [0] * n
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] += a * b
-            out.extend(acc)
-        return IntMatrix(self.rows, n, tuple(out))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entry(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     def __repr__(self):
         return f"IntMatrix({self.to_rows()!r})"
 

@@ -8,8 +8,20 @@ import sys
 
 import pytest
 
+from effhom import (
+    DEFAULT_DEGREES,
+    Sampler,
+    check_contracting,
+    check_nilpotency,
+    check_reduction_laws,
+)
 from effhom.cli import build_parser, main
-from effhom.instances import CATALOG
+from effhom.instances import (
+    CATALOG,
+    resolve_complex,
+    resolve_effective_homology,
+    resolve_homotopy,
+)
 
 from test_grammar import PARSE_MESSAGES
 
@@ -20,6 +32,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CHECK_HELP = """\
+usage: effhom check [-h] [--degrees DEGREES] [--samples SAMPLES] [--seed SEED]
+                    [--coeff-bound COEFF_BOUND] [--support SUPPORT]
+                    [--max-gen MAX_GEN] [--format {text,json}]
+                    instance law
+
+positional arguments:
+  instance
+  law                   nilpotency | chain-morphism | reduction |
+                        contracting:NAME
+
+options:
+  -h, --help            show this help message and exit
+  --degrees DEGREES
+  --samples SAMPLES
+  --seed SEED
+  --coeff-bound COEFF_BOUND
+  --support SUPPORT
+  --max-gen MAX_GEN
+  --format {text,json}
+"""
 
 
 class TestEvalTranscripts:
@@ -185,6 +220,31 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", ident, law, "--format", "json")
         assert code == expected_code
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "ident, law",
+        [
+            ("cc2", "nilpotency"),
+            ("cone-example", "reduction"),
+            ("cone-example", "contracting:htop"),
+        ],
+    )
+    def test_defaults_are_the_library_defaults(self, capsys, ident, law):
+        # no option given: the report is the library's, with Sampler() on
+        # DEFAULT_DEGREES
+        if law == "nilpotency":
+            report = check_nilpotency(resolve_complex(ident), DEFAULT_DEGREES, Sampler())
+        elif law == "reduction":
+            r = resolve_effective_homology(ident).reduction
+            report = check_reduction_laws(r, DEFAULT_DEGREES, Sampler())
+        else:
+            _, h = resolve_homotopy("htop")
+            report = check_contracting(h.over, h, DEFAULT_DEGREES, Sampler())
+        assert run_cli(capsys, "check", ident, law) == (0, report.to_text() + "\n", "")
+
+    def test_help_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, "check", "--help") == (0, CHECK_HELP, "")
 
     def test_determinism(self, capsys):
         args = (

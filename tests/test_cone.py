@@ -83,6 +83,18 @@ class TestCone:
         assert check_chain_morphism(alpha_pi1(), WINDOW, SAMPLER).ok
         assert check_nilpotency(cone(alpha_pi1()), WINDOW, SAMPLER).ok
 
+    def test_one_complex_per_morphism(self):
+        # a homotopy is checked only on the complex it acts on, so every
+        # construction that takes the cone of a morphism must meet one object
+        alpha = alpha_pi1()
+        assert cone(alpha) is cone(alpha)
+        r1, r2 = zxznat().reduction, idz2x0().reduction
+        assert cone_reduction(r1, r2, alpha).top is cone(alpha)
+        r = zxznat().reduction
+        assert cone_contraction(r).over is cone(r.f)
+        other = ChainMorphism(alpha.source, alpha.target, alpha.at)
+        assert cone(other) is not cone(alpha)
+
     def test_first_component_is_negated_top_differential(self):
         top = cone(alpha_pi1())
         src = alpha_pi1().source

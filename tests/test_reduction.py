@@ -101,6 +101,11 @@ class TestContracting:
         with pytest.raises(ShapeMismatchError, match="complex it is checked on"):
             check_homotopy_squares_to_zero(replace(cc2()), hcc2(), WINDOW, SAMPLER)
 
+    def test_contracting_refuses_a_homotopy_over_another_complex(self):
+        # an equal but distinct copy of cc2, which hcc2 does not act on
+        with pytest.raises(ShapeMismatchError, match="complex it is checked on"):
+            check_contracting(replace(cc2()), hcc2(), WINDOW, SAMPLER)
+
     def test_bottom_h2_contracts_everywhere(self):
         bottom = cone_example().reduction.bottom
         assert check_contracting(bottom, h2_bottom(), WINDOW, SAMPLER).ok
@@ -225,6 +230,12 @@ class TestPreimage:
         top = cone_example().reduction.top
         zero = top.module_at(2).zero()
         assert preimage(top, h_top(), 2, zero) == top.module_at(3).zero()
+
+    def test_homotopy_over_another_complex_is_refused(self):
+        zero = COUNTABLE.zero()
+        assert preimage(cc2(), hcc2(), 0, zero) == zero
+        with pytest.raises(ShapeMismatchError, match="complex it is checked on"):
+            preimage(replace(cc2()), hcc2(), 0, zero)
 
     def test_zero_homotopy_fails_verification(self):
         top = cone_example().reduction.top
