@@ -9,6 +9,9 @@ law engine (``laws.run_law``), which samples them; neither is assumed.
 
 ``_component`` builds, shape-checks and keeps each degree component for the
 object's lifetime, so a family is called once per degree used and must be pure.
+A complex also keeps, per degree, the invariant factors of d(i) once
+``homology.homology_window`` has computed them: being pure, d(i) and so its
+factors are fixed for the complex's lifetime.
 """
 
 from __future__ import annotations
@@ -43,12 +46,17 @@ class ChainComplex:
     ``declared_finite_type`` is a label an instance may carry; no check
     reads it.  Finite type is a property of the modules, so whoever needs
     it asks ``module_at(i).is_finite_type()`` on the degrees it uses.
+
+    A complex keeps two things per degree i, each made on first use: the
+    checked differential d(i) (``_components``) and the invariant factors
+    of d(i) (``_factors``, filled by ``homology.homology_window``).
     """
 
     module_family: Callable[[int], FreeModule]
     diff_family: Callable[[int], ModMorphism]
     declared_finite_type: bool = False
     _components: dict = field(default_factory=dict, init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def module_at(self, i: int) -> FreeModule:
         return self.module_family(i)

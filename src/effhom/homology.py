@@ -13,9 +13,16 @@ basis element from the terms of its validated image, the columns go to the
 elimination as rows (a matrix and its transpose share their invariant
 factors), and d(i-1) d(i) = 0 is checked exactly, column by column, as a
 sum of columns of d(i-1).  So the work follows the nonzero entries, not
-rows x cols.  ``homology_window`` builds and factors each differential
-once per call, however many degrees of the window use it;
-``differential_matrix`` is the dense view of the same columns.
+rows x cols.  ``differential_matrix`` is the dense view of the same columns.
+
+The invariant factors of d(i) are kept on the complex (``_factors``), so
+``homology_at``, ``homology_window`` and ``homology_via_effective_homology``
+factor each differential once per complex, across calls.  The columns are
+not kept: each call builds them again from the validated images, once per
+differential however many degrees of the window use it.  So every call
+applies the differentials and checks d(i-1) d(i) = 0 exactly, as the first
+did, and a complex holds O(rank) per degree rather than O(nonzeros).
+
 For a complex that reduces onto a finite-type bottom, the homology of the
 top *is* the homology of the bottom: that transfer is the whole point of
 an effective homology.
@@ -163,11 +170,13 @@ def homology_window(cc: ChainComplex, degrees: Iterable[int]) -> list[HomologyGr
     """The homology at each of ``degrees``, in order.
 
     Each degree needs finite type at i-1, i and i+1.  The columns of each
-    differential and its invariant factors are kept for the span of this
-    call, so a window of consecutive degrees builds and factors every d(i)
-    once, not once as the outgoing and again as the incoming map.
+    differential are built once per call, not once as the outgoing and
+    again as the incoming map, and checked for d(i-1) d(i) = 0 on every
+    call.  The invariant factors of d(j) are computed on the first call
+    that needs them and kept on ``cc`` after that.
     """
-    factored: dict[int, tuple[list[dict[int, int]], tuple[int, ...]]] = {}
+    columns: dict[int, list[dict[int, int]]] = {}
+    factors = cc._factors
     groups = []
     for i in degrees:
         for j in (i - 1, i, i + 1):
@@ -177,16 +186,17 @@ def homology_window(cc: ChainComplex, degrees: Iterable[int]) -> list[HomologyGr
                     "compute through an effective homology instead"
                 )
         for j in (i - 1, i):
-            if j not in factored:
-                _, columns = differential_columns(cc, j)
+            if j not in columns:
+                _, columns[j] = differential_columns(cc, j)
+            if j not in factors:
                 # the columns as rows: A transposed has the factors of A; the
                 # elimination consumes its rows, and the columns are read again
-                rows = {k: dict(column) for k, column in enumerate(columns) if column}
-                factored[j] = (columns, _sparse_invariant_factors(rows))
-        incoming, in_factors = factored[i - 1]
-        outgoing, out_factors = factored[i]
+                rows = {k: dict(column) for k, column in enumerate(columns[j]) if column}
+                factors[j] = _sparse_invariant_factors(rows)
+        incoming, outgoing = columns[i - 1], columns[i]
         if not _composes_to_zero(incoming, outgoing):
             raise HomAlgError(f"differentials do not compose to zero around degree {i}")
+        in_factors, out_factors = factors[i - 1], factors[i]
         groups.append(
             HomologyGroup(
                 betti_rank=len(incoming) - len(in_factors) - len(out_factors),

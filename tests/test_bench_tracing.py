@@ -1,10 +1,14 @@
-"""The traced benchmark run (``bench/run.py --trace 1``) can still wrap its boundaries.
+"""The traced benchmark run (``bench/run.py --trace 1``) still works.
 
 ``bench/tracing.py`` names each boundary by module, owner class and
 attribute, and its tracer replaces ``cls.__dict__[attr]`` or the module
 attribute when it is installed.  A boundary renamed, deleted or moved to
 a base class breaks only the traced run, which the test suite never
 makes, so this checks every entry without installing the tracer.
+
+The traced run also replays one round on the same objects and requires
+its ``DETERMINISTIC`` counts to repeat, so whatever a complex keeps
+between calls must not change the work a repeated call counts.
 """
 
 import importlib
@@ -12,6 +16,9 @@ import importlib.util
 import os
 
 import pytest
+
+import effhom.homology
+from effhom import ZERO, ChainComplex, FiniteFree, from_generator_images, normalize, zero_map
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,7 +32,8 @@ def _tracing():
     return module
 
 
-BOUNDARIES = _tracing().BOUNDARIES
+tracing = _tracing()
+BOUNDARIES = tracing.BOUNDARIES
 
 
 @pytest.mark.parametrize(
@@ -40,3 +48,41 @@ def test_boundary_resolves(module_name, owner, attr):
     else:
         # the tracer reads the class's own __dict__: an inherited method is missed
         assert callable(getattr(module, owner).__dict__.get(attr))
+
+
+def projective_plane() -> ChainComplex:
+    """RP^2 as two triangles on a square: Z^2 <- Z^3 <- Z^2 in degrees 0..2."""
+    ranks = (2, 3, 2)
+    images = (
+        [[(-1, 0), (1, 1)], [(1, 0), (-1, 1)], []],  # the edges a, b, c
+        [[(1, 0), (1, 1), (-1, 2)], [(1, 0), (1, 1), (1, 2)]],  # the triangles
+    )
+
+    def module(i):
+        return FiniteFree(ranks[i]) if 0 <= i < len(ranks) else ZERO
+
+    def diff(i):
+        if 0 <= i < len(images):
+            columns = [normalize(terms, module(i)) for terms in images[i]]
+            return from_generator_images(module(i + 1), module(i), columns.__getitem__)
+        return zero_map(module(i + 1), module(i))
+
+    return ChainComplex(module, diff, declared_finite_type=True)
+
+
+def test_traced_homology_passes_repeat_their_counts():
+    cc = projective_plane()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        deltas = []
+        for _ in range(2):
+            before = tracer.snapshot()
+            groups = [str(effhom.homology.homology_at(cc, i)) for i in range(-1, 4)]
+            after = tracer.snapshot()
+            deltas.append({k: after[k] - before[k] for k in tracing.DETERMINISTIC})
+    finally:
+        tracer.uninstall()
+    assert groups == ["0", "Z", "Z/2", "0", "0"]
+    assert deltas[0]["morphisms.apply_calls"] > 0
+    assert deltas[0] == deltas[1]

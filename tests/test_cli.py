@@ -22,6 +22,7 @@ from effhom.instances import (
     resolve_effective_homology,
     resolve_homotopy,
 )
+from effhom.sampling import MAX_SAMPLES
 
 from test_grammar import PARSE_MESSAGES
 
@@ -396,6 +397,7 @@ class TestUsageErrors:
             ("--support", "0", "must be at least 1"),
             ("--max-gen", "-1", "must be at least 0"),
             ("--max-gen", str(sys.maxsize), f"must be at most {sys.maxsize - 1}"),
+            ("--samples", str(MAX_SAMPLES + 1), f"must be at most {MAX_SAMPLES}"),
         ],
         ids=[
             "--samples-0-1",
@@ -403,12 +405,14 @@ class TestUsageErrors:
             "--support-0-1",
             "--max-gen--1-0",
             "--max-gen-maxsize",
+            "--samples-above-max",
         ],
     )
     def test_sampler_bounds(self, capsys, option, value, message):
         # --max-gen -1 would otherwise pass vacuously on all-zero samples, and
         # sys.maxsize would overflow the len() that rng.sample, which defines
-        # the stream, takes
+        # the stream, takes; a --samples past MAX_SAMPLES builds every sample
+        # before it prints, so it could run until it is killed
         code, out, err = run_cli(capsys, "check", "cc2", "nilpotency", option, value)
         assert code == 2
         assert f"{option} {message}" in err

@@ -34,6 +34,7 @@ from effhom import (
     HomAlgError,
     HomologyGroup,
     IntMatrix,
+    MembershipError,
     ModMorphism,
     NotFiniteTypeError,
     Pair,
@@ -472,6 +473,11 @@ class TestComposesToZero:
             homology_window(cc, range(-1, 4))
 
 
+def fresh(cc):
+    """A complex with the differentials of ``cc`` and nothing kept yet."""
+    return ChainComplex(cc.module_family, cc.diff_family, declared_finite_type=True)
+
+
 class TestHomologyWindow:
     def test_each_differential_built_and_factored_once(self, monkeypatch):
         calls = {"columns": [], "factors": 0}
@@ -486,11 +492,70 @@ class TestHomologyWindow:
             calls["factors"] += 1
             return factor(rows)
 
+        def counted(run):
+            calls.update(columns=[], factors=0)
+            run()
+            return calls
+
         monkeypatch.setattr(effhom.homology, "differential_columns", counted_build)
         monkeypatch.setattr(effhom.homology, "_sparse_invariant_factors", counted_factor)
-        got = homology_window(fcc1(), range(-3, 4))
-        assert got == [Z_MOD_2 if i % 2 == 0 else TRIVIAL for i in range(-3, 4)]
-        assert calls == {"columns": list(range(-4, 4)), "factors": 8}
+        # fcc1() is cached, so earlier tests may have factored its differentials
+        cc = fresh(fcc1())
+        expected = [Z_MOD_2 if i % 2 == 0 else TRIVIAL for i in range(-3, 4)]
+        assert counted(lambda: homology_window(cc, range(-3, 4))) == {
+            "columns": list(range(-4, 4)), "factors": 8,
+        }
+        # the factors are kept on the complex; the columns are read again
+        assert counted(lambda: homology_window(cc, range(-3, 4))) == {
+            "columns": list(range(-4, 4)), "factors": 0,
+        }
+        one_by_one = []
+        assert counted(lambda: one_by_one.extend(homology_at(cc, i) for i in range(-3, 4))) == {
+            "columns": [j for i in range(-3, 4) for j in (i - 1, i)], "factors": 0,
+        }
+        assert one_by_one == expected
+        assert homology_window(cc, range(-3, 5)) == expected + [Z_MOD_2]
+        assert calls["factors"] == 1  # only d(4) is new
+
+    def test_repeated_calls_still_check_composition(self):
+        cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
+        assert homology_at(cc, 0) == TRIVIAL
+        for _ in range(2):
+            with pytest.raises(HomAlgError, match="around degree 1$"):
+                homology_at(cc, 1)
+            with pytest.raises(HomAlgError, match="around degree 1$"):
+                homology_window(cc, [0, 1, 2])
+
+    def test_a_bad_image_raises_on_every_call_and_keeps_no_factors(self):
+        # d(0): Z -> Z sends x0 to x3, which Z does not have
+        def module(i):
+            return Z if i in (0, 1) else ZERO
+
+        def diff(i):
+            if i == 0:
+                return ModMorphism(Z, Z, lambda e: Comb(((3, 1),)))
+            return zero_map(module(i + 1), module(i))
+
+        cc = ChainComplex(module, diff)
+        for run in [lambda: homology_at(cc, 0)] * 2 + [lambda: homology_window(cc, [1, 0])]:
+            with pytest.raises(MembershipError, match="x3 is not a member of Z"):
+                run()
+            assert 0 not in cc._factors
+
+    @given(prescribed_complexes(), st.randoms(use_true_random=False))
+    def test_any_degree_order_matches_the_window(self, complex_, rng):
+        modules, matrices, expected = complex_
+        window = list(range(-1, len(modules) + 1))
+        expected = [TRIVIAL] + expected + [TRIVIAL]
+        assert homology_window(finite_complex(modules, matrices), window) == expected
+        descending, shuffled = window[::-1], rng.sample(window, len(window))
+        cc = finite_complex(modules, matrices)
+        assert [homology_at(cc, i) for i in descending] == expected[::-1]
+        assert homology_window(cc, window) == expected
+        cc = finite_complex(modules, matrices)
+        by_degree = dict(zip(window, expected))
+        assert [homology_at(cc, i) for i in shuffled] == [by_degree[i] for i in shuffled]
+        assert homology_window(cc, window) == expected
 
     def test_first_failing_degree_raises(self):
         cc = finite_complex([1, 1, 1], [[[1]], [[1]]])

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from effhom import COUNTABLE, Comb, DirectSum, FiniteFree, Pair, Sampler, Z
-from effhom.sampling import _sample
+from effhom.sampling import MAX_SAMPLES, _sample
 
 SHAPES = {
     "zero": FiniteFree(0),
@@ -66,6 +66,7 @@ def test_stream_equals_stdlib_draws(bounds, shape):
         ("max_support", 0),
         ("max_generator", -1),
         ("max_generator", sys.maxsize),
+        ("samples", MAX_SAMPLES + 1),
     ],
 )
 def test_bad_bound_raises_at_construction(field, value):
