@@ -45,6 +45,12 @@ from .sampling import Sampler
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
+#: Widest degree range of ``check`` and ``homology``.  A law check keeps a
+#: record per degree and sample and a homology window a group per degree
+#: before anything is printed, so the bound keeps a bad range from running
+#: until it is killed.  The default window has 17 degrees.
+MAX_DEGREES = 10_000
+
 #: Each ``Sampler`` field and the ``check`` option that sets it, in ``--help`` order.
 _SAMPLER_OPTIONS = {
     "samples": "--samples",
@@ -99,6 +105,8 @@ def _parse_range(text: str) -> range:
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise UsageError(f"empty degree range {text!r}")
+    if hi - lo >= MAX_DEGREES:
+        raise UsageError(f"degree range {text!r} spans more than {MAX_DEGREES} degrees")
     return range(lo, hi + 1)
 
 

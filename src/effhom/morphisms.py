@@ -22,10 +22,11 @@ value is known.  ``zero_map`` and ``identity`` mark what they return; with
   own images: a ``from_generator_images`` map, or any composite with one
   as a part, still runs, so a bad generator image still raises.
 
-``f * z`` is not folded, because a caller's action is not assumed to send
-0 to 0.  A ``ModMorphism`` built directly is never treated as a zero or an
-identity, whatever its action.  The one change this makes to what runs: a
-caller's action whose value an outer zero discards is no longer called.
+``f * z`` is not folded, although linearity (below) gives f(0) = 0: a
+caller's action under an inner zero still runs.  A ``ModMorphism`` built
+directly is never treated as a zero or an identity, whatever its action.
+The one change this makes to what runs: a caller's action whose value an
+outer zero discards is no longer called.
 
 >>> from effhom.modules import Z, COUNTABLE, generator
 >>> def loud(e):
@@ -37,6 +38,12 @@ caller's action whose value an outer zero discards is no longer called.
 Traceback (most recent call last):
     ...
 effhom.errors.MembershipError: x3 is not a member of Z
+
+Every morphism is linear: M(sum of c*x) = sum of c*M(x) for integers c
+and elements x.  The constructors here build linear maps from linear
+parts, and a ``ModMorphism`` built directly must have a linear action too.
+The law engine relies on this contract: it decides a sampled law on the
+basis elements the samples touch (see ``effhom.laws``).
 
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms

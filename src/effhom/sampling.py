@@ -109,16 +109,17 @@ class Sampler:
     def _element(self, rng: random.Random, desc: FreeModule, shape) -> Element:
         return join(desc, (self._combination(rng, leaf) for leaf in shape))
 
+    def _population(self, leaf: FreeModule) -> int:
+        """How many generators of ``leaf`` a draw picks from: x0 .. x{n-1}."""
+        return leaf.rank if isinstance(leaf, FiniteFree) else self.max_generator + 1
+
     def _combination(self, rng: random.Random, desc: FreeModule) -> Comb:
-        if isinstance(desc, FiniteFree):
-            population = desc.rank
-            if population > sys.maxsize:  # rng.sample's len() of the range
-                raise ValueError(
-                    f"cannot sample the leaf {desc}: "
-                    f"its rank must be at most {sys.maxsize}"
-                )
-        else:
-            population = self.max_generator + 1
+        population = self._population(desc)
+        # rng.sample's len() of the range; max_generator is bounded already
+        if population > sys.maxsize:
+            raise ValueError(
+                f"cannot sample the leaf {desc}: its rank must be at most {sys.maxsize}"
+            )
         if population == 0:
             return Comb._canonical(())
         bits, bound = rng.getrandbits, self.coeff_bound

@@ -18,7 +18,17 @@ import os
 import pytest
 
 import effhom.homology
-from effhom import ZERO, ChainComplex, FiniteFree, from_generator_images, normalize, zero_map
+import effhom.reduction
+from effhom import (
+    ZERO,
+    ChainComplex,
+    FiniteFree,
+    Sampler,
+    from_generator_images,
+    normalize,
+    zero_map,
+)
+from effhom.instances import resolve_complex, resolve_homotopy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,4 +95,26 @@ def test_traced_homology_passes_repeat_their_counts():
         tracer.uninstall()
     assert groups == ["0", "Z", "Z/2", "0", "0"]
     assert deltas[0]["morphisms.apply_calls"] > 0
+    assert deltas[0] == deltas[1]
+
+
+def test_traced_law_checks_repeat_their_counts():
+    # what a law check keeps (components on cached instances) must not change
+    # the work a repeated check counts: basis verdicts live for one call only
+    top = resolve_complex("cone-example")
+    htop = resolve_homotopy("htop")[1]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        deltas = []
+        for _ in range(2):
+            before = tracer.snapshot()
+            report = effhom.reduction.check_contracting(top, htop, range(-2, 3), Sampler(seed=1))
+            after = tracer.snapshot()
+            deltas.append({k: after[k] - before[k] for k in tracing.DETERMINISTIC})
+    finally:
+        tracer.uninstall()
+    assert report.ok
+    assert deltas[0]["morphisms.apply_calls"] > 0
+    assert deltas[0]["laws.records"] == 5 * 32
     assert deltas[0] == deltas[1]

@@ -15,7 +15,8 @@ from effhom import (
     check_nilpotency,
     check_reduction_laws,
 )
-from effhom.cli import build_parser, main
+from effhom import cli
+from effhom.cli import MAX_DEGREES, build_parser, main
 from effhom.instances import (
     CATALOG,
     resolve_complex,
@@ -384,6 +385,36 @@ class TestUsageErrors:
     def test_bad_degree_range(self, capsys):
         code, _, err = run_cli(capsys, "check", "cc1", "nilpotency", "--degrees", "5..1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("check", "cc2", "nilpotency", "--degrees"), f"0..{MAX_DEGREES}"),
+            (("check", "cc2", "nilpotency", "--degrees"), "0..100000000"),
+            (("homology", "fcc1"), f"-5000..{MAX_DEGREES - 5000}"),
+        ],
+        ids=["check-one-past-max", "check-huge", "homology-one-past-max"],
+    )
+    def test_degree_range_wider_than_max_is_refused(self, capsys, monkeypatch, argv, text):
+        # the refusal comes before any work: a run started here would fail
+        def never(*args):
+            raise AssertionError("the refused range started a run")
+
+        monkeypatch.setattr(cli, "check_nilpotency", never)
+        monkeypatch.setattr(cli, "homology_window", never)
+        message = f"error: degree range {text!r} spans more than {MAX_DEGREES} degrees\n"
+        assert run_cli(capsys, *argv, text) == (2, "", message)
+
+    def test_degree_range_of_max_width_is_accepted(self, capsys, monkeypatch):
+        windows = []
+
+        def record(cc, degrees):
+            windows.append(degrees)
+            return []
+
+        monkeypatch.setattr(cli, "homology_window", record)
+        assert run_cli(capsys, "homology", "fcc1", f"1..{MAX_DEGREES}") == (0, "", "")
+        assert windows == [range(1, MAX_DEGREES + 1)]
 
     def test_bad_law(self, capsys):
         code, _, err = run_cli(capsys, "check", "cc1", "frobnicate")

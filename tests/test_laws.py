@@ -13,14 +13,21 @@ from pathlib import Path
 
 import pytest
 
+import effhom.complexes
+import effhom.reduction
 from effhom import (
     COUNTABLE,
+    DEFAULT_DEGREES,
     Z,
     ChainComplex,
     ChainMorphism,
+    DirectSum,
+    FiniteFree,
     LawRecord,
     LawReport,
     LawSection,
+    MembershipError,
+    ModMorphism,
     Reduction,
     Sampler,
     ShapeMismatchError,
@@ -30,6 +37,8 @@ from effhom import (
     check_nilpotency,
     check_reduction_laws,
     format_element,
+    from_generator_images,
+    generator,
     identity,
     pair,
     proj1,
@@ -39,15 +48,20 @@ from effhom import (
     zero_map,
 )
 from effhom.instances import (
+    CATALOG,
+    HOMOTOPIES,
     cc2,
     cc2_to_null,
     cone_example,
     fcc1,
     h1_bottom,
     hcc2,
+    resolve_complex,
+    resolve_effective_homology,
     sum12,
     zxznat,
 )
+from effhom.laws import equals_zero
 
 SAMPLER = Sampler(seed=7, samples=2)
 WINDOW = range(0, 2)
@@ -295,6 +309,119 @@ class TestRunLaw:
     def test_empty_window_is_refused(self):
         with pytest.raises(ValueError):
             run_law("x", [], SAMPLER, lambda i: (identity(Z), identity(Z)))
+
+
+def per_sample_law(name, degrees, sampler, sides):
+    """The oracle: ``run_law`` with every sample applied whole."""
+    window = sorted(set(degrees))
+    records = []
+    for i in window:
+        lhs, rhs = sides(i)
+        for j, a in enumerate(sampler.elements(lhs.source, f"{name}@{i}")):
+            out = lhs(a)
+            if out == rhs.action(a):
+                records.append(LawRecord(name, i, j, True))
+            else:
+                failure = format_element(a, lhs.source), format_element(out, lhs.target)
+                records.append(LawRecord(name, i, j, False, *failure))
+    return LawSection(name, window[0], window[-1], sampler, tuple(records))
+
+
+def catalog_checks():
+    """Every law check the CLI offers on the catalog, by ``instance:law``."""
+    checks = {}
+    for ident, entry in CATALOG.items():
+        checks[f"{ident}:nilpotency"] = lambda s, ident=ident: check_nilpotency(
+            resolve_complex(ident), DEFAULT_DEGREES, s
+        )
+        if entry.kind == "effective-homology":
+            checks[f"{ident}:chain-morphism"] = lambda s, ident=ident: check_chain_morphism(
+                resolve_effective_homology(ident).reduction.f, DEFAULT_DEGREES, s, "f:fd=df"
+            ).merged(
+                check_chain_morphism(
+                    resolve_effective_homology(ident).reduction.g, DEFAULT_DEGREES, s, "g:fd=df"
+                )
+            )
+            checks[f"{ident}:reduction"] = lambda s, ident=ident: check_reduction_laws(
+                resolve_effective_homology(ident).reduction, DEFAULT_DEGREES, s
+            )
+    for name, (home, load, _) in HOMOTOPIES.items():
+        checks[f"{home}:contracting:{name}"] = lambda s, home=home, load=load: (
+            check_contracting(resolve_complex(home), load(), DEFAULT_DEGREES, s)
+        )
+    return checks
+
+
+CATALOG_CHECKS = catalog_checks()
+#: The default sampler draws from at most 19 basis elements of any catalog
+#: module, fewer than its 32 samples; 33 generators of Z[N] are not.
+EQUIVALENCE_SAMPLERS = {"basis": Sampler(), "per-sample": Sampler(max_generator=32)}
+
+
+class TestBasisEquivalence:
+    """``run_law`` on basis elements gives the reports of whole samples."""
+
+    @pytest.mark.parametrize("sampler", EQUIVALENCE_SAMPLERS)
+    @pytest.mark.parametrize("check", CATALOG_CHECKS)
+    def test_catalog_reports_equal_the_per_sample_oracle(self, monkeypatch, check, sampler):
+        run = CATALOG_CHECKS[check]
+        s = EQUIVALENCE_SAMPLERS[sampler]
+        report = run(s)
+        for module in (effhom.complexes, effhom.reduction):
+            monkeypatch.setattr(module, "run_law", per_sample_law)
+        expected = run(s)
+        assert report.to_text() == expected.to_text()
+        assert report.violations == (32 * 17 if check.endswith(":h1") else 0)
+
+    def test_cancelling_disagreements_pass_as_whole_samples(self):
+        # lhs - rhs sends x0 to x0 and x1 to -x0, so x0 + x1 and -x0 - x1 pass
+        source = FiniteFree(3)
+        images = [generator(0), -generator(0), Z.zero()]
+        lhs = from_generator_images(source, Z, images.__getitem__)
+        sampler = Sampler(seed=2, coeff_bound=1)
+        out = run_law("cancel", [0], sampler, lambda i: equals_zero(lhs))
+        expected = per_sample_law("cancel", [0], sampler, lambda i: equals_zero(lhs))
+        assert LawReport((out,)).to_text() == LawReport((expected,)).to_text()
+        drawn = sampler.elements(source, "cancel@0")
+        cancelled = [
+            j for j, a in enumerate(drawn) if a.coefficient(0) == a.coefficient(1) != 0
+        ]
+        assert cancelled and all(out.records[j].ok for j in cancelled)
+        assert 0 < out.violations < sampler.samples
+
+
+class TestBasisContract:
+    def test_bad_generator_image_raises_on_every_call(self):
+        # x1 and x2 have images outside Z; the error names one generator's image
+        bad = from_generator_images(FiniteFree(3), Z, generator)
+        for _ in range(3):
+            with pytest.raises(MembershipError, match=r"^x[12] is not a member of Z$"):
+                run_law("bad", [0], Sampler(), lambda i: equals_zero(bad))
+
+    @staticmethod
+    def counted_identity_law(sampler):
+        """Calls of one ``lhs`` in each of two runs of ``lhs = id`` on Z (+) Z[N]."""
+        source = DirectSum(Z, COUNTABLE)
+        calls = []
+        lhs = ModMorphism(source, source, lambda e: calls.append(e) or e)
+        counts = []
+        for _ in range(2):
+            del calls[:]
+            out = run_law("id", range(3), sampler, lambda i: (lhs, identity(source)))
+            assert out.violations == 0 and len(out.records) == 3 * sampler.samples
+            counts.append(len(calls))
+        return counts
+
+    def test_basis_path_applies_lhs_once_per_touched_basis_element(self):
+        # 1 + 17 basis elements to draw from, fewer than 32 samples per degree;
+        # the second run applies as often as the first, so no verdict outlives a run
+        first, second = self.counted_identity_law(Sampler(seed=5))
+        assert 0 < first <= 3 * 18 < 3 * 32
+        assert first == second
+
+    def test_sample_path_applies_lhs_once_per_sample(self):
+        # 1 + 33 basis elements to draw from, at least 32 samples
+        assert self.counted_identity_law(Sampler(seed=5, max_generator=32)) == [3 * 32] * 2
 
 
 def test_traced_boundaries_resolve():
