@@ -35,7 +35,7 @@ from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
-from .modules import Comb, Element, FiniteFree, FreeModule, join, leaves, split
+from .modules import Element, FiniteFree, FreeModule, basis, leaves, split
 from .reduction import EffectiveHomology
 from .snf import IntMatrix, _sparse_invariant_factors
 
@@ -93,15 +93,7 @@ def enumerate_basis(desc: FreeModule) -> list[Element]:
     injected with every other leaf zero; so a direct sum lists the left
     basis injected on the left, then the right basis injected on the right.
     """
-    shape = leaves(desc)
-    parts = [leaf.zero() for leaf in shape]
-    basis = []
-    for k, leaf in enumerate(shape):
-        for g in range(_rank(leaf)):
-            parts[k] = Comb._canonical(((g, 1),))  # x_g alone is canonical
-            basis.append(join(desc, iter(parts)))
-        parts[k] = leaf.zero()
-    return basis
+    return basis(desc, [_rank(leaf) for leaf in leaves(desc)])
 
 
 def differential_columns(cc: ChainComplex, i: int) -> tuple[int, list[dict[int, int]]]:

@@ -10,13 +10,14 @@ pass when ``lhs(a) == rhs(a)``; a failure records ``a`` and ``lhs(a)``,
 both formatted in the element grammar.
 
 The engine relies on the linearity contract of ``effhom.morphisms``:
-every morphism M satisfies M(sum of c*x) = sum of c*M(x).  So two sides
-agree on a sample when they agree on each basis element in its support,
-and when the sampler can draw from fewer basis elements than samples,
-``run_law`` applies each side once per basis element a sample touches,
-not once per sample.  The verdicts are those of applying every sample
-whole: a sample that touches a disagreeing basis element is applied
-whole, so a cancellation still passes and a failure records ``lhs(a)``.
+every morphism M satisfies M(sum of c*x) = sum of c*M(x).  The samples of
+a degree are combinations of its *span*, the basis elements the sampler
+draws from, so when the two sides agree on the span every sample passes.
+When the span is smaller than the sample count, ``run_law`` decides that
+first, applying each side once per span element, and draws no sample
+when it holds.  Otherwise, or when a span element disagrees, every sample
+is applied whole, so a cancellation still passes and a failure records
+``lhs(a)``.
 
 A report gathers one section per law; a section records a verdict for
 every (degree, sample) pair plus the sampler settings, so a failed run can
@@ -37,7 +38,7 @@ from typing import Callable
 
 from .errors import ShapeMismatchError
 from .grammar import format_element
-from .modules import Comb, Element, join, leaves, split
+from .modules import basis, leaves
 from .morphisms import ModMorphism, identity, zero_map
 from .sampling import Sampler
 
@@ -166,12 +167,13 @@ def run_law(
 ) -> LawSection:
     """Sample the equation ``sides(i)`` at every degree ``i`` of a window.
 
-    When the sampler draws from fewer basis elements of ``lhs.source`` than
-    it draws samples, each basis element the samples touch is checked once
-    per degree, and only a sample that touches a disagreeing one is applied
-    whole; otherwise every sample is applied whole.  The calls of ``lhs``
-    validate each element and its image, so ``rhs`` is evaluated by its
-    action alone.
+    The span of a degree is x0 .. x{n-1} of each leaf of ``lhs.source``,
+    where n is the leaf's ``Sampler._population``.  When the span has fewer
+    elements than ``sampler.samples``, both sides are applied to every span
+    element first, and if they agree on all of them every sample passes
+    without being drawn.  Otherwise every sample is drawn and applied whole.
+    The calls of ``lhs`` validate each element and its image, so ``rhs`` is
+    evaluated by its action alone.
     """
     window = sorted(set(degrees))
     if not window:
@@ -184,14 +186,15 @@ def run_law(
                 f"law {name} at degree {i} compares {lhs.source} -> {lhs.target} "
                 f"with {rhs.source} -> {rhs.target}"
             )
-        samples = sampler.elements(lhs.source, f"{name}@{i}")
-        shape = leaves(lhs.source)
-        on_basis = sum(map(sampler._population, shape)) < sampler.samples
-        agrees = _basis_agreement(lhs, rhs, len(shape)) if on_basis else None
-        for j, a in enumerate(samples):
-            if agrees is not None and agrees(a):
-                records.append(LawRecord(name, i, j, True))
-                continue
+        sizes = [sampler._population(leaf) for leaf in leaves(lhs.source)]
+        # a list, not a generator: every span element is applied, so a bad
+        # image raises from the call on its own generator
+        if sum(sizes) < sampler.samples and all(
+            [lhs(e) == rhs.action(e) for e in basis(lhs.source, sizes)]
+        ):
+            records.extend(LawRecord(name, i, j, True) for j in range(sampler.samples))
+            continue
+        for j, a in enumerate(sampler.elements(lhs.source, f"{name}@{i}")):
             out = lhs(a)
             if out == rhs.action(a):
                 records.append(LawRecord(name, i, j, True))
@@ -199,31 +202,3 @@ def run_law(
                 failure = format_element(a, lhs.source), format_element(out, lhs.target)
                 records.append(LawRecord(name, i, j, False, *failure))
     return LawSection(name, window[0], window[-1], sampler, tuple(records))
-
-
-def _basis_agreement(
-    lhs: ModMorphism, rhs: ModMorphism, width: int
-) -> Callable[[Element], bool]:
-    """Whether ``lhs`` and ``rhs`` agree on every basis element in a sample's support.
-
-    A basis element is a generator of one of the ``width`` leaves of
-    ``lhs.source``.  Each is applied the first time a sample touches it,
-    before the sample is judged, so a bad image raises from the call on its
-    own generator; its verdict is kept only as long as the returned function.
-    """
-    source = lhs.source
-    zeros = [Comb._canonical(())] * width
-    known: dict[tuple[int, int], bool] = {}
-
-    def agrees(a: Element) -> bool:
-        source.require(a)
-        support = [(k, g) for k, (_, comb) in enumerate(split(a, source)) for g, _ in comb.terms]
-        for k, g in support:
-            if (k, g) not in known:
-                parts = zeros.copy()
-                parts[k] = Comb._canonical(((g, 1),))
-                e = join(source, iter(parts))
-                known[k, g] = lhs(e) == rhs.action(e)
-        return all(known[key] for key in support)
-
-    return agrees

@@ -20,7 +20,8 @@ construction, so they skip that check.
 
 A member of a direct sum is one combination per *leaf* (combination-shaped
 summand), left to right: ``(Z (+) Z[N]) (+) Z`` has leaves Z, Z[N], Z.
-``leaves``, ``split`` and ``join`` are the one walk of that shape.
+``leaves``, ``split`` and ``join`` are the one walk of that shape, and
+``basis`` builds the basis elements x0 .. x{n-1} of each leaf on it.
 
 >>> e = normalize([(7, 4), (8, 0)], COUNTABLE)
 >>> e
@@ -323,3 +324,20 @@ def join(desc: FreeModule, parts: Iterator[Element]) -> Element:
     if not isinstance(desc, DirectSum):
         return next(parts)
     return Pair(join(desc.left, parts), join(desc.right, parts))
+
+
+def basis(desc: FreeModule, sizes: Iterable[int]) -> list[Element]:
+    """x0 .. x{n_k - 1} of each leaf k of ``desc`` in turn, every other leaf zero.
+
+    >>> basis(DirectSum(Z, COUNTABLE), [1, 2])
+    [(x0, 0), (0, x0), (0, x1)]
+    """
+    shape = leaves(desc)
+    parts = [leaf.zero() for leaf in shape]
+    elements = []
+    for k, n in enumerate(sizes):
+        for g in range(n):
+            parts[k] = Comb._canonical(((g, 1),))  # x_g alone is canonical
+            elements.append(join(desc, iter(parts)))
+        parts[k] = shape[k].zero()
+    return elements

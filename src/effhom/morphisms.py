@@ -43,7 +43,7 @@ Every morphism is linear: M(sum of c*x) = sum of c*M(x) for integers c
 and elements x.  The constructors here build linear maps from linear
 parts, and a ``ModMorphism`` built directly must have a linear action too.
 The law engine relies on this contract: it decides a sampled law on the
-basis elements the samples touch (see ``effhom.laws``).
+basis elements the sampler draws from (see ``effhom.laws``).
 
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms

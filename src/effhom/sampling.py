@@ -4,7 +4,9 @@ Universally quantified laws over infinite generator families cannot be
 decided, so they are tested on random elements.  Streams are derived from
 ``(seed, label)`` with the label naming the law and the degree, which
 keeps every (law, degree) sequence reproducible and independent of how
-checks are grouped or parallelized.
+checks are grouped or parallelized.  So a degree whose law is decided on
+its span (see ``effhom.laws``) may skip its draws without moving any
+other degree's stream.
 
 A stream is defined by rejection on ``getrandbits``: a draw below ``n``
 takes ``n.bit_length()`` bits and redraws while the result is ``>= n``.

@@ -100,21 +100,26 @@ def test_traced_homology_passes_repeat_their_counts():
 
 def test_traced_law_checks_repeat_their_counts():
     # what a law check keeps (components on cached instances) must not change
-    # the work a repeated check counts: basis verdicts live for one call only
-    top = resolve_complex("cone-example")
-    htop = resolve_homotopy("htop")[1]
+    # the work a repeated check counts; run_law itself keeps nothing between
+    # calls.  htop is decided on the span and draws no sample; h1 disagrees
+    # on the span, so every sample is drawn and applied whole.
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        deltas = []
-        for _ in range(2):
-            before = tracer.snapshot()
-            report = effhom.reduction.check_contracting(top, htop, range(-2, 3), Sampler(seed=1))
-            after = tracer.snapshot()
-            deltas.append({k: after[k] - before[k] for k in tracing.DETERMINISTIC})
+        for home, name, violations in (
+            ("cone-example", "htop", 0),
+            ("cone-example.bottom", "h1", 5 * 32),
+        ):
+            cc, h = resolve_complex(home), resolve_homotopy(name)[1]
+            deltas = []
+            for _ in range(2):
+                before = tracer.snapshot()
+                report = effhom.reduction.check_contracting(cc, h, range(-2, 3), Sampler(seed=1))
+                after = tracer.snapshot()
+                deltas.append({k: after[k] - before[k] for k in tracing.DETERMINISTIC})
+            assert report.violations == violations
+            assert deltas[0]["morphisms.apply_calls"] > 0
+            assert deltas[0]["laws.records"] == 5 * 32
+            assert deltas[0] == deltas[1]
     finally:
         tracer.uninstall()
-    assert report.ok
-    assert deltas[0]["morphisms.apply_calls"] > 0
-    assert deltas[0]["laws.records"] == 5 * 32
-    assert deltas[0] == deltas[1]

@@ -398,6 +398,19 @@ class TestBasisContract:
             with pytest.raises(MembershipError, match=r"^x[12] is not a member of Z$"):
                 run_law("bad", [0], Sampler(), lambda i: equals_zero(bad))
 
+    def test_bad_image_no_sample_touches_raises_on_every_call(self):
+        # x30's image x5 is outside Z; no sample of this sampler holds x30,
+        # but the span x0 .. x30 has 31 < 32 elements, so x30 is applied
+        bad = from_generator_images(
+            FiniteFree(31), Z, lambda g: generator(5) if g == 30 else Z.zero()
+        )
+        sampler = Sampler(seed=1, max_support=1)
+        drawn = sampler.elements(bad.source, "bad@0")
+        assert all(a.coefficient(30) == 0 for a in drawn)
+        for _ in range(3):
+            with pytest.raises(MembershipError, match=r"^x5 is not a member of Z$"):
+                run_law("bad", [0], sampler, lambda i: equals_zero(bad))
+
     @staticmethod
     def counted_identity_law(sampler):
         """Calls of one ``lhs`` in each of two runs of ``lhs = id`` on Z (+) Z[N]."""
@@ -412,16 +425,44 @@ class TestBasisContract:
             counts.append(len(calls))
         return counts
 
-    def test_basis_path_applies_lhs_once_per_touched_basis_element(self):
+    def test_basis_path_applies_lhs_once_per_span_element(self):
         # 1 + 17 basis elements to draw from, fewer than 32 samples per degree;
         # the second run applies as often as the first, so no verdict outlives a run
         first, second = self.counted_identity_law(Sampler(seed=5))
-        assert 0 < first <= 3 * 18 < 3 * 32
-        assert first == second
+        assert first == second == 3 * 18
 
     def test_sample_path_applies_lhs_once_per_sample(self):
         # 1 + 33 basis elements to draw from, at least 32 samples
         assert self.counted_identity_law(Sampler(seed=5, max_generator=32)) == [3 * 32] * 2
+
+
+class TestDraws:
+    """``Sampler.elements`` runs only where the span does not decide a law."""
+
+    @staticmethod
+    def draws(monkeypatch, sampler):
+        """The labels ``Sampler.elements`` draws for the cone example's reduction laws."""
+        labels = []
+        elements = Sampler.elements
+
+        def counted(self, desc, label):
+            labels.append(label)
+            return elements(self, desc, label)
+
+        monkeypatch.setattr(Sampler, "elements", counted)
+        reduction = resolve_effective_homology("cone-example").reduction
+        assert check_reduction_laws(reduction, DEFAULT_DEGREES, sampler).ok
+        return labels
+
+    def test_span_smaller_than_samples_draws_nothing(self, monkeypatch):
+        # the top Z (+) Z[N] (+) Z spans 19 and the bottom Z (+) Z spans 2
+        assert self.draws(monkeypatch, Sampler()) == []
+
+    def test_span_at_least_samples_draws_once_per_law_and_degree(self, monkeypatch):
+        # the top spans 1 + 33 + 1; the laws on the bottom, fg=id and hg=0, draw nothing
+        labels = self.draws(monkeypatch, Sampler(max_generator=32))
+        top = ("dh+hd+gf=id", "fh=0", "hh=0")
+        assert sorted(labels) == sorted(f"{law}@{i}" for law in top for i in DEFAULT_DEGREES)
 
 
 def test_traced_boundaries_resolve():
