@@ -53,15 +53,19 @@ def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
     return pair(a * p1, b * p1 + c * p2)
 
 
-@cache
-def cone(alpha: ChainMorphism) -> ChainComplex:
-    """The mapping cone of ``alpha``, one complex per morphism."""
+def _cone(alpha: ChainMorphism) -> ChainComplex:
     src, tgt = alpha.source, alpha.target
     return ChainComplex(
         lambda i: DirectSum(src.module_at(i), tgt.module_at(i + 1)),
         lambda i: _lower(-src.diff_at(i), alpha.at(i + 1), tgt.diff_at(i + 1)),
         declared_finite_type=src.declared_finite_type and tgt.declared_finite_type,
     )
+
+
+@cache
+def cone(alpha: ChainMorphism) -> ChainComplex:
+    """The mapping cone of ``alpha``, one complex per morphism."""
+    return _cone(alpha)
 
 
 def bottom_morphism(
@@ -80,7 +84,8 @@ def bottom_morphism(
 def cone_reduction(r1: Reduction, r2: Reduction, alpha: ChainMorphism) -> Reduction:
     """Reduce the cone of ``alpha`` onto the cone of the induced bottom map."""
     top = cone(alpha)
-    bottom = cone(bottom_morphism(r1, r2, alpha))
+    # a fresh morphism on every call, so its cone is not kept in the cache
+    bottom = _cone(bottom_morphism(r1, r2, alpha))
 
     def f_at(i):
         f2 = r2.f.at(i + 1)

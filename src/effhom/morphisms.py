@@ -18,20 +18,20 @@ value is known.  ``zero_map`` and ``identity`` mark what they return; with
 
 - ``1 * f`` and ``f * 1`` are ``f``;
 - ``z + f`` and ``f + z`` are ``f``, and ``-z`` is ``z``;
+- ``f * z`` is ``zero_map(z.source, f.target)``: f(0) = 0 by linearity;
 - ``z * g`` is ``zero_map(g.source, z.target)``, unless ``g`` checks its
   own images: a ``from_generator_images`` map, or any composite with one
   as a part, still runs, so a bad generator image still raises.
 
-``f * z`` is not folded, although linearity (below) gives f(0) = 0: a
-caller's action under an inner zero still runs.  A ``ModMorphism`` built
-directly is never treated as a zero or an identity, whatever its action.
-The one change this makes to what runs: a caller's action whose value an
-outer zero discards is no longer called.
+A ``ModMorphism`` built directly is never a zero or an identity, whatever
+its action, but it folds away beside a zero factor like any other map.
 
 >>> from effhom.modules import Z, COUNTABLE, generator
 >>> def loud(e):
 ...     raise RuntimeError("never run")
 >>> (zero_map(Z, Z) * ModMorphism(Z, Z, loud))(generator(0))
+0
+>>> (ModMorphism(Z, Z, loud) * zero_map(Z, Z))(generator(0))
 0
 >>> bad = from_generator_images(COUNTABLE, Z, generator)
 >>> (zero_map(Z, Z) * bad)(generator(3))
@@ -87,9 +87,8 @@ class ModMorphism:
             return other
         if other._tag is _IDENTITY:
             return self
-        if self._tag is _ZERO and other._tag is not _CHECKS:
-            # zero_map(other.source, self.target), sharing self's zero
-            return _tagged(ModMorphism(other.source, self.target, self.action), _ZERO)
+        if other._tag is _ZERO or (self._tag is _ZERO and other._tag is not _CHECKS):
+            return zero_map(other.source, self.target)
         outer, inner = self.action, other.action
         composite = ModMorphism(other.source, self.target, lambda e: outer(inner(e)))
         return _composite(composite, self, other)

@@ -150,6 +150,18 @@ class TestPreimage:
         assert code == 1
         assert "(0, 0, 11)" in out
 
+    def test_verification_failure(self, capsys):
+        # h1 does not contract the bottom of cone-example, so the candidate
+        # preimage fails the d(h(x)) == x check
+        assert run_cli(
+            capsys, "preimage", "cone-example.bottom", "1", "(0, 1)", "--h", "h1"
+        ) == (
+            1,
+            "verification failed: homotopy is not contracting at this element:"
+            " d(h(x)) != x\n",
+            "",
+        )
+
 
 class TestCheck:
     def test_reduction_passes(self, capsys):
@@ -511,6 +523,23 @@ class TestSharedParser:
         if between:
             assert run_cli(capsys, *between)[0] == code
         assert run_cli(capsys, *self.CHECK) == alone
+
+
+class TestArgvForms:
+    def test_option_equals_value(self, capsys):
+        spaced = run_cli(
+            capsys, "check", "cc2", "nilpotency", "--degrees", "-1..0", "--samples", "2"
+        )
+        assert spaced[0] == 0
+        assert run_cli(
+            capsys, "check", "cc2", "nilpotency", "--degrees=-1..0", "--samples=2"
+        ) == spaced
+
+    def test_double_dash_fences_positionals(self, capsys):
+        assert run_cli(capsys, "eval", "cc2", "diff", "0", "-x1+x2") == (0, "x2\n", "")
+        assert run_cli(capsys, "eval", "cc2", "diff", "--", "0", "-x1+x2") == (
+            0, "x2\n", ""
+        )
 
 
 def test_module_entry_point_subprocess():

@@ -95,6 +95,16 @@ class TestCone:
         other = ChainMorphism(alpha.source, alpha.target, alpha.at)
         assert cone(other) is not cone(alpha)
 
+    def test_repeated_contractions_keep_no_cone(self):
+        # each cone_reduction builds a fresh bottom morphism; its cone must
+        # not stay in the process-wide cache of cone
+        r = zxznat().reduction
+        cone_contraction(r)
+        before = cone.cache_info().currsize
+        for _ in range(50):
+            cone_contraction(r)
+        assert cone.cache_info().currsize == before
+
     def test_first_component_is_negated_top_differential(self):
         top = cone(alpha_pi1())
         src = alpha_pi1().source

@@ -35,6 +35,10 @@ class TestDescriptors:
         assert ZERO == FiniteFree(0)
         assert hash(ZERO) == hash(FiniteFree(0))
 
+    def test_negative_rank_is_refused(self):
+        with pytest.raises(ValueError, match="^rank must be a natural number$"):
+            FiniteFree(-1)
+
     def test_finite_type(self):
         assert FiniteFree(3).is_finite_type()
         assert not COUNTABLE.is_finite_type()

@@ -110,6 +110,18 @@ class TestFolds:
         assert (zero_map(Z, Z) * (scaling(Z, 2) * checked))(generator(0)) == Comb(())
         assert seen == [0]
 
+    def test_inner_zero_folds_every_outer_map(self):
+        seen = []
+        loud = ModMorphism(Z, Z, lambda e: seen.append(e) or e)
+        checked = from_generator_images(
+            COUNTABLE, Z, lambda j: seen.append(j) or generator(j)
+        )
+        f = scaling(Z, 3)
+        for m in (loud * zero_map(Z, Z), checked * zero_map(Z, COUNTABLE)):
+            assert m + f is f  # only a zero map vanishes from a sum
+            assert m(generator(0)) == Comb(())
+        assert seen == []
+
     def test_units_vanish(self):
         f, z = scaling(Z, 3), zero_map(Z, Z)
         assert identity(Z) * f is f
@@ -193,6 +205,14 @@ class TestSumShuffling:
         f = direct_sum_map(scaling(Z, 2), identity(COUNTABLE))
         e = Pair(Comb(((0, 3),)), generator(1))
         assert f(e) == Pair(Comb(((0, 6),)), generator(1))
+
+    @pytest.mark.parametrize(
+        "build, desc", [(proj1, Z), (inj2, COUNTABLE)], ids=["proj1", "inj2"]
+    )
+    def test_shuffling_needs_a_direct_sum(self, build, desc):
+        with pytest.raises(ShapeMismatchError) as info:
+            build(desc)
+        assert str(info.value) == f"{desc} is not a direct sum"
 
     def test_pair_requires_common_source(self):
         with pytest.raises(ShapeMismatchError):
@@ -333,9 +353,12 @@ def outcome(m, x):
 )
 def test_folding_keeps_every_value(data, source, target, seed):
     folding, unfolded = trees(data.draw, source, target, 4)
-    z = zero_map(target, target)
-    # a BAD anywhere below the outer zero must still raise
+    z, y = zero_map(target, target), zero_map(source, source)
+    # a BAD anywhere below the outer zero must still raise; over an inner
+    # zero nothing can, as a generator-image map reads no image on 0
     discarded, kept = z * folding, opaque(z) * unfolded
+    fed_zero, fed_zero_ = folding * y, unfolded * opaque(y)
     for x in Sampler(seed=seed, samples=4).elements(source, "fold"):
         assert outcome(folding, x) == outcome(unfolded, x)
         assert outcome(discarded, x) == outcome(kept, x)
+        assert outcome(fed_zero, x) == outcome(fed_zero_, x)

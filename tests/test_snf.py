@@ -194,6 +194,8 @@ class TestIntMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError, match="^matrix dimensions must be natural"):
+            IntMatrix(-1, 0, ())
 
     def test_large_entries_stay_exact(self):
         big = 10**40
