@@ -43,7 +43,7 @@ from .laws import LawReport
 from .reduction import DEFAULT_DEGREES, check_contracting, check_reduction_laws, preimage
 from .sampling import Sampler
 
-_RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_RANGE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
 #: Widest degree range of ``check`` and ``homology``.  A law check keeps a
 #: record per degree and sample and a homology window a group per degree
@@ -99,7 +99,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _parse_range(text: str) -> range:
-    m = _RANGE.match(text)
+    m = _RANGE.fullmatch(text)
     if m is None:
         raise UsageError(f"expected a degree range like -8..8, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))

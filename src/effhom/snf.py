@@ -15,15 +15,19 @@ sparse with +-1 entries, so this leaves a tiny dense remainder, or none
 A bordered by identity blocks, so that the row and column operations on
 A are recorded in U and V as they happen.
 
-The dense elimination picks the entry of smallest absolute value in the
-working submatrix as pivot and clears its row and column with Euclidean
-steps, restarting whenever a remainder swap produced a smaller pivot;
-this keeps coefficient growth modest.  Before the pivot is frozen it must
-also divide the rest of the submatrix, which a single row addition
-repairs, and that is exactly what makes the diagonal a divisibility
-chain.  Entries are Python integers throughout: intermediate values can
-exceed any machine word even on small inputs, so nothing here ever
-touches floating point or fixed width arithmetic.
+The dense elimination takes one pivot at a time: the entry of smallest
+absolute value in the working block, moved to the corner.  One division
+step reduces every other entry of its column, then of its row; a nonzero
+remainder is smaller than the pivot, so the block is searched again.  Every
+multiplier is thus an entry over the least entry of the whole block, not
+over a pivot that some row's remainder happened to leave, which keeps
+coefficient growth small even on dense matrices.  Before the pivot is
+frozen it must also divide the rest of the block; adding the first row
+that it does not divide to the pivot row repairs that, and is exactly
+what makes the diagonal a divisibility chain.  Entries are Python
+integers throughout: intermediate values can exceed any machine word even
+on small inputs, so nothing here ever touches floating point or fixed
+width arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class IntMatrix:
             rows_n = len(data)
         if cols_n is None:
             cols_n = len(data[0]) if data else 0
+        if any(len(row) != cols_n for row in data):
+            raise ValueError("a row length does not match the column count")
+        if len(data) != rows_n and cols_n:  # rows of no entries may be left out
+            raise ValueError("row count does not match the dimensions")
         flat = tuple(x for row in data for x in row)
         return cls(rows_n, cols_n, flat)
 
@@ -185,15 +193,6 @@ def _diagonalize(d: list[list[int]], m: int, n: int) -> tuple[int, ...]:
     Returns the invariant factors.
     """
 
-    def swap_rows(a, b):
-        if a != b:
-            d[a], d[b] = d[b], d[a]
-
-    def swap_cols(a, b):
-        if a != b:
-            for row in d:
-                row[a], row[b] = row[b], row[a]
-
     def add_row(dst, src, q):
         # row dst += q * row src
         drow = d[dst]
@@ -201,62 +200,59 @@ def _diagonalize(d: list[list[int]], m: int, n: int) -> tuple[int, ...]:
             if x:
                 drow[j] += q * x
 
-    def add_col(dst, src, q):
-        for row in d:
-            if row[src]:
-                row[dst] += q * row[src]
-
     t = 0
     limit = min(m, n)
     while t < limit:
         pivot = None
         best = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                x = d[i][j]
+                x = row[j]
                 if x and (best is None or abs(x) < best):
                     pivot, best = (i, j), abs(x)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t completely; a remainder swap shrinks the pivot
-            # and restarts the sweep
-            i = t + 1
-            while i < m:
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
-                    if d[i][t]:
-                        swap_rows(t, i)
-                        i = t + 1
-                        continue
-                i += 1
-            # column t is zero below the pivot, so a column operation only
-            # touches row t; a remainder swap dirties the column again
-            dirty = False
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if not dirty:
-                break
+        i, j = pivot
+        d[t], d[i] = d[i], d[t]
+        if j != t:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+        p = d[t][t]
+        # one division step on every other entry of column t, then of row
+        # t; a remainder is smaller than the pivot, so it sends the loop
+        # back to the search
+        clean = True
+        for i in range(t + 1, m):
+            if d[i][t]:
+                add_row(i, t, -(d[i][t] // p))
+                clean = clean and not d[i][t]
+        if not clean:
+            continue
+        for j in range(t + 1, n):
+            if d[t][j]:
+                q = d[t][j] // p
+                for row in d:
+                    if row[t]:
+                        row[j] -= q * row[t]
+                clean = clean and not d[t][j]
+        if not clean:
+            continue
+        # the pivot must divide the rest; else pull up the first row that
+        # it does not, whose remainder the next search takes
         offender = None
         for i in range(t + 1, m):
+            row = d[i]
             for j in range(t + 1, n):
-                if d[i][j] % d[t][t]:
+                if row[j] % p:
                     offender = i
                     break
             if offender is not None:
                 break
-        if offender is not None:
-            # pull the offending row up so the next pass shrinks the pivot
+        if offender is None:
+            t += 1
+        else:
             add_row(t, offender, 1)
-            continue
-        t += 1
 
     for i in range(limit):
         if d[i][i] < 0:

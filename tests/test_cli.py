@@ -10,6 +10,7 @@ import pytest
 
 from effhom import (
     DEFAULT_DEGREES,
+    HomAlgError,
     Sampler,
     check_contracting,
     check_nilpotency,
@@ -427,6 +428,19 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "homology_window", record)
         assert run_cli(capsys, "homology", "fcc1", f"1..{MAX_DEGREES}") == (0, "", "")
         assert windows == [range(1, MAX_DEGREES + 1)]
+
+    def test_degree_range_with_a_trailing_newline_is_refused(self, capsys):
+        message = "error: expected a degree range like -8..8, got '0..1\\n'\n"
+        assert run_cli(capsys, "homology", "fcc1", "0..1\n") == (2, "", message)
+
+    def test_a_mathematical_failure_exits_1_on_stderr(self, capsys, monkeypatch):
+        def fail(cc, degrees):
+            raise HomAlgError("differentials do not compose to zero around degree 0")
+
+        monkeypatch.setattr(cli, "homology_window", fail)
+        assert run_cli(capsys, "homology", "fcc1", "0..1") == (
+            1, "", "error: differentials do not compose to zero around degree 0\n",
+        )
 
     def test_bad_law(self, capsys):
         code, _, err = run_cli(capsys, "check", "cc1", "frobnicate")

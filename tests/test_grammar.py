@@ -59,6 +59,9 @@ class TestParse:
             Pair(Comb(((0, 5),)), Comb(((0, 8), (4, 7)))), Comb(((0, 3),))
         )
 
+    def test_trailing_whitespace_is_ignored(self):
+        assert parse_element("x1  ", COUNTABLE) == Comb(((1, 1),))
+
     def test_terms_normalize(self):
         assert parse_element("3*x1-3*x1", COUNTABLE) == Comb(())
         assert parse_element("x2+x2", COUNTABLE) == Comb(((2, 2),))

@@ -23,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import effhom.homology
+import effhom.snf
 from effhom import (
     COUNTABLE,
     ZERO,
@@ -455,6 +456,28 @@ class TestPrescribedHomology:
         assert sum(ranks) == 240
         cc = finite_complex(ranks, matrices)
         assert homology_window(cc, range(-1, 9)) == [TRIVIAL] + expected + [TRIVIAL]
+
+    def test_known_answer_with_dense_torsion(self, monkeypatch):
+        # total rank 200 over 5 degrees, torsion orders up to 210, mixed
+        # until the remainder after the unit pivots is dense
+        rng = random.Random(1)
+        free = [rng.randrange(5) for _ in range(20)]
+        orders = (2, 3, 4, 5, 6, 7, 10, 12, 30, 60, 210)
+        arrows = [(rng.randrange(4), rng.choice(orders)) for _ in range(90)]
+        ranks, matrices, expected = prescribed(5, free, arrows, rng, 600)
+        assert sum(ranks) == 200 and max(m for _, m in arrows) == 210
+        remainders = []
+        diagonalize = effhom.snf._diagonalize
+
+        def recorded(d, m, n):
+            remainders.append((m, n, sum(1 for row in d for x in row if x)))
+            return diagonalize(d, m, n)
+
+        monkeypatch.setattr(effhom.snf, "_diagonalize", recorded)
+        cc = finite_complex(ranks, matrices)
+        assert homology_window(cc, range(-1, 6)) == [TRIVIAL] + expected + [TRIVIAL]
+        m, n, nonzero = max(remainders)
+        assert min(m, n) >= 30 and nonzero >= m * n // 2, remainders
 
 
 class TestComposesToZero:

@@ -54,6 +54,8 @@ class TestDescriptors:
         assert not ZZ.contains(comb((0, 1)))
         with pytest.raises(MembershipError):
             Z.require(comb((3, 1)))
+        with pytest.raises(MembershipError):
+            Z.require(Pair(comb((0, 1)), comb()))
 
     def test_zero_elements(self):
         assert Z.zero() == comb()
@@ -149,6 +151,12 @@ class TestArithmetic:
             comb((0, 1)) + Pair(comb(), comb())
         with pytest.raises(MembershipError):
             Pair(comb(), comb()) + comb((0, 1))
+
+    def test_adding_a_non_element_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Comb(()) + 1
+        with pytest.raises(TypeError):
+            Pair(comb(), comb()) + 1
 
     def test_canonical_constructor_guards(self):
         with pytest.raises(ValueError):

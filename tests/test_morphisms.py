@@ -182,6 +182,13 @@ class TestAlgebra:
         with pytest.raises(ShapeMismatchError):
             scaling(Z, 2) + zero_map(Z, COUNTABLE)
 
+    def test_a_non_morphism_operand_is_a_type_error(self):
+        f = scaling(Z, 2)
+        with pytest.raises(TypeError):
+            f * 3
+        with pytest.raises(TypeError):
+            f + 3
+
 
 class TestSumShuffling:
     def test_proj1(self):

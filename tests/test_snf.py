@@ -10,7 +10,7 @@ the transform-free ``invariant_factors`` must also agree with
 
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -178,6 +178,19 @@ class TestSeededSuite:
                 product = product * factors[k - 1] if k <= len(factors) else 0
                 assert minor_gcd(a, k) == product, (data, k)
 
+    def test_dense_sixty_by_sixty(self):
+        # only a few unit pivots come out, which leaves a dense remainder
+        rng = random.Random(1)
+        rows = [[rng.randint(-3, 3) for _ in range(60)] for _ in range(60)]
+        factors = invariant_factors(IntMatrix.from_rows(rows))
+        assert prod(factors) == abs(bareiss_det(rows))
+        assert factors[0] == gcd(*(x for row in rows for x in row))
+
+    def test_dense_forty_by_forty_transforms(self):
+        rng = random.Random(1)
+        rows = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+        assert len(assert_snf_contract(IntMatrix.from_rows(rows)).invariant_factors) == 40
+
     def test_invariant_factors_goldens(self):
         assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
         assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 6]])) == (2, 6)
@@ -196,6 +209,17 @@ class TestIntMatrix:
             IntMatrix(2, 2, (1, 2, 3))
         with pytest.raises(ValueError, match="^matrix dimensions must be natural"):
             IntMatrix(-1, 0, ())
+
+    def test_ragged_rows_raise(self):
+        # three entries would fit 3 x 1, but the rows hold 1, 2 and 0 of them
+        with pytest.raises(ValueError, match="^a row length does not match the column"):
+            IntMatrix.from_rows([[1], [2, 3], []])
+        with pytest.raises(ValueError, match="^a row length does not match the column"):
+            IntMatrix.from_rows([[1, 2]], 1, 3)
+        with pytest.raises(ValueError, match="^row count does not match the dimensions$"):
+            IntMatrix.from_rows([[1], [2]], 3, 1)
+        # a matrix with no columns may leave out its empty rows
+        assert IntMatrix.from_rows([], 4, 0) == IntMatrix.zeros(4, 0)
 
     def test_large_entries_stay_exact(self):
         big = 10**40
