@@ -43,7 +43,7 @@ from .laws import LawReport
 from .reduction import DEFAULT_DEGREES, check_contracting, check_reduction_laws, preimage
 from .sampling import Sampler
 
-_RANGE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+_RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 #: Widest degree range of ``check`` and ``homology``.  A law check keeps a
 #: record per degree and sample and a homology window a group per degree

@@ -30,8 +30,6 @@ of the cone of f . g = id through the cone reduction of a reduction's own f.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
 from .errors import ShapeMismatchError
 from .modules import DirectSum
@@ -53,19 +51,17 @@ def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
     return pair(a * p1, b * p1 + c * p2)
 
 
-def _cone(alpha: ChainMorphism) -> ChainComplex:
-    src, tgt = alpha.source, alpha.target
-    return ChainComplex(
-        lambda i: DirectSum(src.module_at(i), tgt.module_at(i + 1)),
-        lambda i: _lower(-src.diff_at(i), alpha.at(i + 1), tgt.diff_at(i + 1)),
-        declared_finite_type=src.declared_finite_type and tgt.declared_finite_type,
-    )
-
-
-@cache
 def cone(alpha: ChainMorphism) -> ChainComplex:
-    """The mapping cone of ``alpha``, one complex per morphism."""
-    return _cone(alpha)
+    """The mapping cone of ``alpha``, built once and kept on ``alpha`` itself."""
+    if (c := getattr(alpha, "_cone", None)) is None:
+        src, tgt = alpha.source, alpha.target
+        c = ChainComplex(
+            lambda i: DirectSum(src.module_at(i), tgt.module_at(i + 1)),
+            lambda i: _lower(-src.diff_at(i), alpha.at(i + 1), tgt.diff_at(i + 1)),
+            declared_finite_type=src.declared_finite_type and tgt.declared_finite_type,
+        )
+        object.__setattr__(alpha, "_cone", c)
+    return c
 
 
 def bottom_morphism(
@@ -83,9 +79,7 @@ def bottom_morphism(
 
 def cone_reduction(r1: Reduction, r2: Reduction, alpha: ChainMorphism) -> Reduction:
     """Reduce the cone of ``alpha`` onto the cone of the induced bottom map."""
-    top = cone(alpha)
-    # a fresh morphism on every call, so its cone is not kept in the cache
-    bottom = _cone(bottom_morphism(r1, r2, alpha))
+    top, bottom = cone(alpha), cone(bottom_morphism(r1, r2, alpha))
 
     def f_at(i):
         f2 = r2.f.at(i + 1)

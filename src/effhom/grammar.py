@@ -25,7 +25,7 @@ from .modules import (
     Comb, Element, FreeModule, Z, _comb_text, join, leaves, normalize, split
 )
 
-_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<gen>x\d+)|(?P<punct>[(),+*-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<nat>[0-9]+)|(?P<gen>x[0-9]+)|(?P<punct>[(),+*-]))")
 
 
 def format_element(element: Element, desc: FreeModule) -> str:

@@ -178,6 +178,8 @@ def run_law(
     window = sorted(set(degrees))
     if not window:
         raise ValueError("degree window must be nonempty")
+    if window[-1] - window[0] + 1 != len(window):  # the report names it lo..hi
+        raise ValueError(f"degree window {window[0]}..{window[-1]} has gaps")
     records = []
     for i in window:
         lhs, rhs = sides(i)

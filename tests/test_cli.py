@@ -433,6 +433,10 @@ class TestUsageErrors:
         message = "error: expected a degree range like -8..8, got '0..1\\n'\n"
         assert run_cli(capsys, "homology", "fcc1", "0..1\n") == (2, "", message)
 
+    def test_degree_range_in_non_ascii_digits_is_refused(self, capsys):
+        message = "error: expected a degree range like -8..8, got '\u0661..\u0662'\n"
+        assert run_cli(capsys, "homology", "fcc1", "\u0661..\u0662") == (2, "", message)
+
     def test_a_mathematical_failure_exits_1_on_stderr(self, capsys, monkeypatch):
         def fail(cc, degrees):
             raise HomAlgError("differentials do not compose to zero around degree 0")
@@ -590,4 +594,24 @@ def test_reader_closing_the_pipe_early_exits_1_quietly(fmt):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert len(head) == 100
+    assert err == b""
+
+
+def test_reader_leaving_after_one_line_exits_1_quietly():
+    # the report is about 1.4 MB of lines; the reader takes the first and leaves
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "effhom", "check", "cc2", "nilpotency",
+         "--samples", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=ROOT,
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert line == b"law=dd=0 degree=-8 sample=0 verdict=pass\n"
     assert err == b""

@@ -12,6 +12,9 @@ and the oracle evaluates that expansion directly on random elements,
 comparing it against both the production code path and the identity.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from effhom import (
@@ -96,14 +99,22 @@ class TestCone:
         assert cone(other) is not cone(alpha)
 
     def test_repeated_contractions_keep_no_cone(self):
-        # each cone_reduction builds a fresh bottom morphism; its cone must
-        # not stay in the process-wide cache of cone
-        r = zxznat().reduction
-        cone_contraction(r)
-        before = cone.cache_info().currsize
-        for _ in range(50):
-            cone_contraction(r)
-        assert cone.cache_info().currsize == before
+        # each cone_reduction builds a fresh bottom morphism; neither its cone
+        # nor the cone of a dropped morphism may outlive the objects using it
+        r1, r2 = zxznat().reduction, idz2x0().reduction
+        alpha = alpha_pi1()
+        fresh = ChainMorphism(alpha.source, alpha.target, alpha.at)
+        reduction = cone_reduction(r1, r2, fresh)
+        reduction.bottom.diff_at(0)  # as any use does, build a component
+        top, bottom = weakref.ref(reduction.top), weakref.ref(reduction.bottom)
+        assert top() is cone(fresh)
+        del reduction
+        gc.collect()
+        assert bottom() is None
+        fresh_ref = weakref.ref(fresh)
+        del fresh
+        gc.collect()
+        assert fresh_ref() is None and top() is None
 
     def test_first_component_is_negated_top_differential(self):
         top = cone(alpha_pi1())

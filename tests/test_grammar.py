@@ -62,6 +62,12 @@ class TestParse:
     def test_trailing_whitespace_is_ignored(self):
         assert parse_element("x1  ", COUNTABLE) == Comb(((1, 1),))
 
+    def test_only_ascii_digits(self):
+        # \d would read the Arabic-Indic one as x1
+        for text in ("x\u0661", "\u0661", "3*x\u0661"):
+            with pytest.raises(ParseError):
+                parse_element(text, COUNTABLE)
+
     def test_terms_normalize(self):
         assert parse_element("3*x1-3*x1", COUNTABLE) == Comb(())
         assert parse_element("x2+x2", COUNTABLE) == Comb(((2, 2),))

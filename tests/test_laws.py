@@ -310,6 +310,15 @@ class TestRunLaw:
         with pytest.raises(ValueError):
             run_law("x", [], SAMPLER, lambda i: (identity(Z), identity(Z)))
 
+    def test_window_with_gaps_is_refused(self):
+        # its report would read degrees=1..5, and a replay would check 2..4 too
+        def sides(i):
+            return identity(Z), identity(Z)
+
+        with pytest.raises(ValueError, match="1..5 has gaps"):
+            run_law("x", [1, 5], SAMPLER, sides)
+        out = run_law("x", [1, 0, 1], SAMPLER, sides)
+        assert (out.lo, out.hi) == (0, 1)
 
 def per_sample_law(name, degrees, sampler, sides):
     """The oracle: ``run_law`` with every sample applied whole."""
