@@ -45,10 +45,10 @@ from .sampling import Sampler
 
 _RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
-#: Widest degree range of ``check`` and ``homology``.  A law check keeps a
-#: record per degree and sample and a homology window a group per degree
-#: before anything is printed, so the bound keeps a bad range from running
-#: until it is killed.  The default window has 17 degrees.
+#: Widest degree range of ``check`` and ``homology``.  A law report writes
+#: a line per degree and sample, and a homology window keeps a group per
+#: degree, before anything is printed, so the bound keeps a bad range from
+#: running until it is killed.  The default window has 17 degrees.
 MAX_DEGREES = 10_000
 
 #: Each ``Sampler`` field and the ``check`` option that sets it, in ``--help`` order.
@@ -65,6 +65,16 @@ _VALUE_OPTIONS = {*_SAMPLER_OPTIONS.values(), "--degrees", "--format", "--h"}
 
 class UsageError(Exception):
     pass
+
+
+def _ascii_int(text: str) -> int:
+    """``int(text)`` of ASCII text only; ``int`` itself reads any Unicode digit."""
+    if not text.isascii():
+        raise ValueError(f"not ASCII: {text!r}")
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse's "invalid int value" message names it
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="apply a differential or homotopy to an element")
     p.add_argument("instance")
     p.add_argument("operator", help="'diff' or 'h:NAME'")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_ascii_int)
     p.add_argument("element")
     add_format(p)
     p.set_defaults(handler=cmd_eval)
@@ -291,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--degrees", default=f"{DEFAULT_DEGREES[0]}..{DEFAULT_DEGREES[-1]}")
     for name, option in _SAMPLER_OPTIONS.items():
-        p.add_argument(option, type=int, default=getattr(Sampler, name))
+        p.add_argument(option, type=_ascii_int, default=getattr(Sampler, name))
     add_format(p)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("preimage", help="solve d(z) = x through a contracting homotopy")
     p.add_argument("instance")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_ascii_int)
     p.add_argument("element")
     p.add_argument("--h", required=True, help="name of the homotopy to apply")
     add_format(p)

@@ -5,8 +5,8 @@ source and one target, built per degree with the morphism algebra
 (``*``, ``+``, ``-``, ``identity``, ``zero_map``); for example the
 homotopy law of a reduction is ``d*h + h*d + g*f = identity``.
 ``run_law`` is the only code that samples, compares and formats a law.
-At each degree it draws samples ``a`` from ``lhs.source`` and records a
-pass when ``lhs(a) == rhs(a)``; a failure records ``a`` and ``lhs(a)``,
+At each degree it draws samples ``a`` from ``lhs.source``, and a sample
+passes when ``lhs(a) == rhs(a)``; a failure records ``a`` and ``lhs(a)``,
 both formatted in the element grammar.
 
 The engine relies on the linearity contract of ``effhom.morphisms``:
@@ -19,10 +19,11 @@ when it holds.  Otherwise, or when a span element disagrees, every sample
 is applied whole, so a cancellation still passes and a failure records
 ``lhs(a)``.
 
-A report gathers one section per law; a section records a verdict for
-every (degree, sample) pair plus the sampler settings, so a failed run can
-be replayed exactly.  The text serialization is line oriented: one line
-per sample and one summary line per law, in the form
+A report gathers one section per law; a section keeps its failures and
+the sampler settings, so a failed run can be replayed exactly; ``records``
+rebuilds the verdict of every (degree, sample) pair from them.  The text
+serialization is line oriented: one line per sample and one summary line
+per law, in the form
 
     law=<name> degree=<d> sample=<k> verdict=pass
     law=<name> degree=<d> sample=<k> verdict=fail input="..." output="..."
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -59,14 +61,21 @@ class LawSection:
     lo: int
     hi: int
     sampler: Sampler
-    records: tuple[LawRecord, ...]
+    failures: tuple[LawRecord, ...]  # in (degree, sample) order
+
+    @property
+    def records(self) -> tuple[LawRecord, ...]:
+        """One verdict per (degree, sample) pair of the window, built anew."""
+        failed = {(r.degree, r.sample): r for r in self.failures}
+        pairs = product(range(self.lo, self.hi + 1), range(self.sampler.samples))
+        return tuple(failed.get(p) or LawRecord(self.law, *p, True) for p in pairs)
 
     @property
     def violations(self) -> int:
-        return sum(1 for r in self.records if not r.ok)
+        return len(self.failures)
 
     def counterexamples(self) -> list[LawRecord]:
-        return [r for r in self.records if not r.ok]
+        return list(self.failures)
 
     def summary(self) -> str:
         return (
@@ -180,7 +189,7 @@ def run_law(
         raise ValueError("degree window must be nonempty")
     if window[-1] - window[0] + 1 != len(window):  # the report names it lo..hi
         raise ValueError(f"degree window {window[0]}..{window[-1]} has gaps")
-    records = []
+    failures = []
     for i in window:
         lhs, rhs = sides(i)
         if lhs.source != rhs.source or lhs.target != rhs.target:
@@ -194,13 +203,10 @@ def run_law(
         if sum(sizes) < sampler.samples and all(
             [lhs(e) == rhs.action(e) for e in basis(lhs.source, sizes)]
         ):
-            records.extend(LawRecord(name, i, j, True) for j in range(sampler.samples))
             continue
         for j, a in enumerate(sampler.elements(lhs.source, f"{name}@{i}")):
             out = lhs(a)
-            if out == rhs.action(a):
-                records.append(LawRecord(name, i, j, True))
-            else:
+            if out != rhs.action(a):
                 failure = format_element(a, lhs.source), format_element(out, lhs.target)
-                records.append(LawRecord(name, i, j, False, *failure))
-    return LawSection(name, window[0], window[-1], sampler, tuple(records))
+                failures.append(LawRecord(name, i, j, False, *failure))
+    return LawSection(name, window[0], window[-1], sampler, tuple(failures))

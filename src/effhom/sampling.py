@@ -67,8 +67,8 @@ def _sample(bits, n: int, k: int) -> list[int]:
 
 
 #: Largest ``samples``.  ``elements`` builds the whole list, and a report
-#: keeps one record per sample, before anything is printed: one degree of
-#: ``cc2`` nilpotency at 100,000 samples takes about 1.3 s and 70 MB
+#: writes one line per sample, before anything is printed: one drawn degree
+#: of ``cc2`` nilpotency at 100,000 samples takes about 1.1 s and 40 MB
 #: (Python 3.11, 2 CPUs), so the bound keeps a bad ``--samples`` from
 #: running until it is killed.  The CLI default is 32.
 MAX_SAMPLES = 100_000

@@ -437,6 +437,36 @@ class TestUsageErrors:
         message = "error: expected a degree range like -8..8, got '\u0661..\u0662'\n"
         assert run_cli(capsys, "homology", "fcc1", "\u0661..\u0662") == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "cc1", "diff", "{}", "5"),
+            ("preimage", "cc2", "{}", "x0", "--h", "hcc2"),
+            *(
+                ("check", "cc2", "nilpotency", option, "{}")
+                for option in cli._SAMPLER_OPTIONS.values()
+            ),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2] if argv[0] == 'check' else ''}",
+    )
+    def test_integer_arguments_in_non_ascii_digits_are_refused(self, capsys, argv):
+        # int() reads any Unicode digit: '\u0663' is 3 and '\u0663\u0665' is 35.
+        # The refusal is argparse's own, in the words it uses for 'x'.
+        def fill(text):
+            return [a.format(text) for a in argv]
+
+        code, out, err = run_cli(capsys, *fill("x"))
+        assert (code, out) == (2, "") and err.endswith(" invalid int value: 'x'\n")
+        for digits in ("\u0663", "\u0663\u0665", "1\uff10"):
+            assert run_cli(capsys, *fill(digits)) == (2, "", err.replace("'x'", repr(digits)))
+
+    @pytest.mark.parametrize("text, value", [("-3", -3), (" +1_0 ", 10), ("007", 7)])
+    def test_integer_arguments_in_ascii_parse_as_int(self, text, value):
+        args = build_parser().parse_args(["eval", "cc1", "diff", "--", text, "5"])
+        assert args.index == value
+        args = build_parser().parse_args(["check", "cc2", "nilpotency", f"--seed={text}"])
+        assert args.seed == value
+
     def test_a_mathematical_failure_exits_1_on_stderr(self, capsys, monkeypatch):
         def fail(cc, degrees):
             raise HomAlgError("differentials do not compose to zero around degree 0")

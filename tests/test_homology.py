@@ -580,6 +580,17 @@ class TestHomologyWindow:
         assert [homology_at(cc, i) for i in shuffled] == [by_degree[i] for i in shuffled]
         assert homology_window(cc, window) == expected
 
+    @pytest.mark.parametrize("i", [3, 1])
+    def test_an_infinite_neighbour_is_refused(self, i):
+        # Z[N] at degree 2 only: it is at i - 1 for degree 3 and at i + 1 for 1
+        def module(j):
+            return COUNTABLE if j == 2 else Z
+
+        cc = ChainComplex(module, lambda j: zero_map(module(j + 1), module(j)))
+        with pytest.raises(NotFiniteTypeError, match="^module at degree 2 is not"):
+            homology_window(cc, [i])
+        assert homology_window(cc, [0, 4]) == [HomologyGroup(1)] * 2
+
     def test_first_failing_degree_raises(self):
         cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
         with pytest.raises(HomAlgError, match="around degree 1"):

@@ -166,6 +166,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Comb(((2, 1), (2, 2)))
 
+    def test_a_lone_negative_generator_index_is_refused(self):
+        # generator indices are natural: the first term's index is checked too
+        with pytest.raises(ValueError, match="^generator indices must be strictly"):
+            Comb(((-1, 1),))
+        assert Comb(((0, 1),)) == generator(0)
+
     def test_generator(self):
         assert generator(4) == comb((4, 1))
         with pytest.raises(MembershipError):

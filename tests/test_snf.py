@@ -221,6 +221,9 @@ class TestIntMatrix:
         # a matrix with no columns may leave out its empty rows
         assert IntMatrix.from_rows([], 4, 0) == IntMatrix.zeros(4, 0)
 
+    def test_no_rows_is_0_by_0(self):
+        assert IntMatrix.from_rows([]) == IntMatrix(0, 0, ())
+
     def test_large_entries_stay_exact(self):
         big = 10**40
         a = IntMatrix.from_rows([[big, 1], [1, big]])
