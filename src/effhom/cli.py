@@ -45,10 +45,10 @@ from .sampling import Sampler
 
 _RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
-#: Widest degree range of ``check`` and ``homology``.  A law report writes
-#: a line per degree and sample, and a homology window keeps a group per
-#: degree, before anything is printed, so the bound keeps a bad range from
-#: running until it is killed.  The default window has 17 degrees.
+#: Widest degree range of ``check`` and ``homology``.  A law report, though
+#: printed a degree at a time, writes a line per degree and sample, and a
+#: homology window keeps a group per degree before printing; the bound keeps
+#: a bad range from running until it is killed.  The default has 17 degrees.
 MAX_DEGREES = 10_000
 
 #: Each ``Sampler`` field and the ``check`` option that sets it, in ``--help`` order.
@@ -160,10 +160,9 @@ def _reduction(ident: str, law: str):
 
 
 def _emit_report(report: LawReport, args) -> int:
-    if args.format == "json":
-        print(report.to_json_text())
-    else:
-        print(report.to_text())
+    # the writers yield a degree at a time, so the report is never held whole
+    pieces = report._json_pieces() if args.format == "json" else report._text_pieces()
+    sys.stdout.writelines(pieces)
     return 0 if report.ok else 1
 
 

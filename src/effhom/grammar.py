@@ -68,7 +68,7 @@ def _leaf_value(leaf: FreeModule, node) -> Comb:
 
 
 class _Parser:
-    """Recursive-descent parser producing the flat list of leaf nodes.
+    """Parser producing the flat list of leaf nodes.
 
     A leaf node is ``("comb", terms)`` with terms a list of
     ``(coefficient, generator)`` pairs, or ``("int", value)``; tuples only
@@ -117,21 +117,25 @@ class _Parser:
         return out
 
     def _element(self, out):
-        if self._peek() != "(":
+        # iterative, so nesting depth is bounded by memory, not the stack
+        open_tuples = []  # components read so far, one count per open "("
+        while True:
+            while self._peek() == "(":
+                self._next()
+                open_tuples.append(0)
             out.append(self._comb_or_int())
-            return
-        self._next()
-        self._element(out)
-        components = 1
-        while self._peek() == ",":
-            self._next()
-            self._element(out)
-            components += 1
-        kind, _ = self._next()
-        if kind != ")":
-            raise ParseError("expected ')' in element text")
-        if components < 2:
-            raise ParseError("a tuple needs at least two components")
+            while open_tuples:  # a component just ended: its tuple goes on or closes
+                open_tuples[-1] += 1
+                if self._peek() == ",":
+                    self._next()
+                    break
+                kind, _ = self._next()
+                if kind != ")":
+                    raise ParseError("expected ')' in element text")
+                if open_tuples.pop() < 2:
+                    raise ParseError("a tuple needs at least two components")
+            else:
+                return
 
     def _comb_or_int(self):
         sign = 1

@@ -20,10 +20,10 @@ is applied whole, so a cancellation still passes and a failure records
 ``lhs(a)``.
 
 A report gathers one section per law; a section keeps its failures and
-the sampler settings, so a failed run can be replayed exactly; ``records``
-rebuilds the verdict of every (degree, sample) pair from them.  The text
-serialization is line oriented: one line per sample and one summary line
-per law, in the form
+the sampler settings, so a failed run can be replayed exactly.  ``records``
+and the writers walk its window, a pass wherever no failure is kept, and a
+writer yields the text of one degree at a time.  The text has one line per
+sample and one summary line per law, in the form
 
     law=<name> degree=<d> sample=<k> verdict=pass
     law=<name> degree=<d> sample=<k> verdict=fail input="..." output="..."
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
-from json.encoder import encode_basestring_ascii
+from itertools import repeat
 from typing import Callable
 
 from .errors import ShapeMismatchError
@@ -63,12 +62,18 @@ class LawSection:
     sampler: Sampler
     failures: tuple[LawRecord, ...]  # in (degree, sample) order
 
+    def _walk(self):
+        """Each degree of the window with its lazy (sample, failure or None) pairs."""
+        failed = {(r.degree, r.sample): r for r in self.failures}
+        samples = range(self.sampler.samples)
+        for i in range(self.lo, self.hi + 1):
+            yield i, zip(samples, map(failed.get, zip(repeat(i), samples)))
+
     @property
     def records(self) -> tuple[LawRecord, ...]:
         """One verdict per (degree, sample) pair of the window, built anew."""
-        failed = {(r.degree, r.sample): r for r in self.failures}
-        pairs = product(range(self.lo, self.hi + 1), range(self.sampler.samples))
-        return tuple(failed.get(p) or LawRecord(self.law, *p, True) for p in pairs)
+        verdicts = ((i, j, r) for i, pairs in self._walk() for j, r in pairs)
+        return tuple(r or LawRecord(self.law, i, j, True) for i, j, r in verdicts)
 
     @property
     def violations(self) -> int:
@@ -101,17 +106,7 @@ class LawReport:
         return [r for section in self.sections for r in section.counterexamples()]
 
     def to_text(self) -> str:
-        lines = []
-        for section in self.sections:
-            for r in section.records:
-                line = f"law={r.law} degree={r.degree} sample={r.sample} verdict="
-                if r.ok:
-                    line += "pass"
-                else:
-                    line += f'fail input="{r.input}" output="{r.output}"'
-                lines.append(line)
-            lines.append(section.summary())
-        return "\n".join(lines)
+        return "".join(self._text_pieces())[:-1]
 
     def to_json(self) -> dict:
         """The report as JSON data, read back from ``to_json_text``."""
@@ -119,43 +114,48 @@ class LawReport:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json(), indent=2)``, written directly."""
-        laws = ",\n".join(map(_section_json, self.sections))
-        laws = f"[\n{laws}\n  ]" if laws else "[]"
-        return f'{{\n  "violations": {self.violations},\n  "laws": {laws}\n}}'
+        return "".join(self._json_pieces())[:-1]
+
+    def _text_pieces(self):
+        """``to_text()`` and a newline: each degree of a law, then its summary."""
+        for s in self.sections:
+            for i, pairs in s._walk():
+                head = f"law={s.law} degree={i} sample="
+                yield "".join(
+                    f"{head}{j} verdict=pass\n" if r is None else
+                    f'{head}{j} verdict=fail input="{r.input}" output="{r.output}"\n'
+                    for j, r in pairs
+                )
+            yield s.summary() + "\n"
+
+    def _json_pieces(self):
+        """``to_json_text()`` and a newline; a law's header rides on its first degree."""
+        text = f'{{\n  "violations": {self.violations},\n  "laws": ['
+        for n, s in enumerate(self.sections):
+            text += ("," if n else "") + (
+                f'\n    {{\n      "law": {json.dumps(s.law)},\n      "degrees": {{\n'
+                f'        "lo": {s.lo},\n        "hi": {s.hi}\n      }},\n'
+                f'      "samples": {s.sampler.samples},\n      "seed": {s.sampler.seed},\n'
+                f'      "violations": {s.violations},\n      "records": ['
+            )
+            for i, pairs in s._walk():
+                head = f'\n        {{\n          "degree": {i},\n          "sample": '
+                yield text + ("," if i > s.lo else "") + ",".join(
+                    f'{head}{j},\n          "verdict": "pass"\n        }}' if r is None else
+                    f'{head}{j},\n          "verdict": "fail",\n          "input": '
+                    f'{json.dumps(r.input)},\n          "output": {json.dumps(r.output)}'
+                    "\n        }"
+                    for j, r in pairs
+                )
+                text = ""
+            text += "\n      ]\n    }" if s.lo <= s.hi else "]\n    }"
+        yield text + ("\n  ]\n}\n" if self.sections else "]\n}\n")
 
     def merged(self, *others: "LawReport") -> "LawReport":
         sections = list(self.sections)
         for other in others:
             sections.extend(other.sections)
         return LawReport(tuple(sections))
-
-
-def _string(value: str | None) -> str:
-    return "null" if value is None else encode_basestring_ascii(value)
-
-
-def _section_json(s: LawSection) -> str:
-    records = ",\n".join(map(_record_json, s.records))
-    records = f"[\n{records}\n      ]" if records else "[]"
-    return (
-        f'    {{\n      "law": {_string(s.law)},\n'
-        f'      "degrees": {{\n        "lo": {s.lo},\n        "hi": {s.hi}\n      }},\n'
-        f'      "samples": {s.sampler.samples},\n      "seed": {s.sampler.seed},\n'
-        f'      "violations": {s.violations},\n      "records": {records}\n    }}'
-    )
-
-
-def _record_json(r: LawRecord) -> str:
-    head = (
-        f'        {{\n          "degree": {r.degree},\n'
-        f'          "sample": {r.sample},\n          "verdict": '
-    )
-    if r.ok:
-        return head + '"pass"\n        }'
-    return (
-        f'{head}"fail",\n          "input": {_string(r.input)},\n'
-        f'          "output": {_string(r.output)}\n        }}'
-    )
 
 
 def equals_zero(lhs: ModMorphism) -> tuple[ModMorphism, ModMorphism]:

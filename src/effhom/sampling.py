@@ -66,11 +66,11 @@ def _sample(bits, n: int, k: int) -> list[int]:
     return list(selected)
 
 
-#: Largest ``samples``.  ``elements`` builds the whole list, and a report
-#: writes one line per sample, before anything is printed: one drawn degree
-#: of ``cc2`` nilpotency at 100,000 samples takes about 1.1 s and 40 MB
-#: (Python 3.11, 2 CPUs), so the bound keeps a bad ``--samples`` from
-#: running until it is killed.  The CLI default is 32.
+#: Largest ``samples``.  ``elements`` builds a degree's whole list before its
+#: law is checked, and a report, printed a degree at a time, writes a line per
+#: sample: one drawn degree of ``cc2`` nilpotency at 100,000 samples takes
+#: about 1.1 s and 40 MB (Python 3.11, 2 CPUs), so the bound keeps a bad
+#: ``--samples`` from running until it is killed.  The CLI default is 32.
 MAX_SAMPLES = 100_000
 
 

@@ -1,10 +1,12 @@
 """Command line behaviors: transcripts, exit codes, formats, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -76,6 +78,12 @@ class TestEvalTranscripts:
         )
         assert code == 0
         assert out == "(5, 8*x0+7*x4, 0)\n"
+
+    def test_nested_spelling(self, capsys):
+        # tuples only group leaves: ((a, b), c) is read as (a, b, c)
+        flat = run_cli(capsys, "eval", "cone-example", "diff", "2", "(1, x2, 3)")
+        assert run_cli(capsys, "eval", "cone-example", "diff", "2", "((1, x2), 3)") == flat
+        assert flat == (0, "(-2, -x2, 1)\n", "")
 
     def test_null_eval(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "null", "diff", "0", "0")
@@ -256,6 +264,43 @@ class TestCheck:
             _, h = resolve_homotopy("htop")
             report = check_contracting(h.over, h, DEFAULT_DEGREES, Sampler())
         assert run_cli(capsys, "check", ident, law) == (0, report.to_text() + "\n", "")
+
+    def test_json_prints_the_report_json_text(self, capsys):
+        cc = resolve_complex("cone-example.bottom")
+        _, h1 = resolve_homotopy("h1")
+        report = check_contracting(cc, h1, DEFAULT_DEGREES, Sampler())
+        assert run_cli(
+            capsys, "check", "cone-example.bottom", "contracting:h1", "--format", "json"
+        ) == (1, report.to_json_text() + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_writing_a_report_takes_memory_per_degree(self, monkeypatch, fmt):
+        # 5,000 samples a degree, all decided on the span: the report is
+        # written a degree at a time, so ten degrees peak about as high as one
+        class Sink(io.TextIOBase):
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+                return len(text)
+
+        def peak(degrees):
+            monkeypatch.setattr(sys, "stdout", Sink())
+            tracemalloc.start()
+            try:
+                code = main([
+                    "check", "cc2", "nilpotency", "--samples", "5000",
+                    "--max-gen", "10", "--degrees", degrees, "--format", fmt,
+                ])
+                return code, sys.stdout.chars, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0..9")  # build the catalog's components outside the measure
+        code_one, chars_one, one = peak("0..0")
+        code_ten, chars_ten, ten = peak("0..9")
+        assert code_one == code_ten == 0 and chars_ten > 9 * chars_one
+        assert ten < 2 * one, (one, ten)
 
     def test_help_is_pinned(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -522,6 +567,13 @@ class TestUsageErrors:
     )
     def test_one_line_error_without_traceback(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_deep_nesting_is_a_usage_error(self, capsys):
+        # the parser keeps its own stack, so depth never reaches the interpreter's
+        text = "(" * 10_000 + "x0" + ")" * 10_000
+        assert run_cli(capsys, "eval", "cc2", "diff", "0", text) == (
+            2, "", "error: a tuple needs at least two components\n"
+        )
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)

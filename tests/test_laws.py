@@ -253,6 +253,15 @@ def odd_names_report():
     return LawReport((LawSection(name, -1, 0, Sampler(seed=-3, samples=1), failures),))
 
 
+def mixed_verdicts_report():
+    # the law of TestSection.test_records_put_each_failure_at_its_pair:
+    # each degree of -1..0 holds passes and failures
+    images = [generator(0), -generator(0), Z.zero()]
+    lhs = from_generator_images(FiniteFree(3), Z, images.__getitem__)
+    sampler = Sampler(seed=2, coeff_bound=1)
+    return LawReport((run_law("cancel", range(-1, 1), sampler, lambda i: equals_zero(lhs)),))
+
+
 REPORTS = {
     "empty": lambda: LawReport(()),
     "passing": lambda: check_homotopy_squares_to_zero(cc2(), hcc2(), WINDOW, SAMPLER),
@@ -263,6 +272,7 @@ REPORTS = {
         check_chain_morphism(zxznat().reduction.g, WINDOW, SAMPLER, law="g:fd=df")
     ),
     "odd-names": odd_names_report,
+    "mixed-verdicts": mixed_verdicts_report,
 }
 
 
