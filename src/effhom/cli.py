@@ -336,6 +336,7 @@ def main(argv=None) -> int:
         # at devnull so the exit-time flush of what is left fails no more.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     finally:
         if limit is not None:

@@ -39,10 +39,9 @@ from .reduction import (
     EffectiveHomology,
     HomotopyOperator,
     Reduction,
-    acyclic_to_null_effective_homology,
+    _onto_null,
     effective_homology,
     perturb_homotopy,
-    sampled_effective_homology,
     zero_homotopy,
 )
 
@@ -138,7 +137,7 @@ def zxznat() -> EffectiveHomology:
 
     f projects onto the first component, g injects it back, and the
     homotopy is zero on the first component and ``hcc2`` on the second.
-    The five laws are sampled at construction and a violation raises.
+    No law is sampled here; ``check_reduction_laws`` samples the five.
     """
     top, bottom = sum12(), fcc1()
     f = ChainMorphism(top, bottom, lambda i: proj1(top.module_at(i)))
@@ -148,7 +147,7 @@ def zxznat() -> EffectiveHomology:
     h = HomotopyOperator(
         top, lambda i: direct_sum_map(zero_map(Z, Z), hcc2().at(i))
     )
-    return sampled_effective_homology(Reduction(top, bottom, f, g, h))
+    return effective_homology(Reduction(top, bottom, f, g, h))
 
 
 @cache
@@ -170,8 +169,8 @@ def cone_example() -> EffectiveHomology:
 
 @cache
 def cc2_to_null() -> EffectiveHomology:
-    """``cc2`` is acyclic: package ``hcc2`` as a reduction to the null complex."""
-    return acyclic_to_null_effective_homology(cc2(), hcc2())
+    """``cc2`` is acyclic: ``hcc2`` as a reduction to the null complex, unsampled."""
+    return effective_homology(_onto_null(cc2(), hcc2()))
 
 
 @cache

@@ -697,3 +697,19 @@ def test_reader_leaving_after_one_line_exits_1_quietly():
     assert proc.wait(timeout=60) == 1
     assert line == b"law=dd=0 degree=-8 sample=0 verdict=pass\n"
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipes_leave_no_descriptor_open(monkeypatch):
+    def write_into_a_closed_pipe():
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["check", "cc2", "nilpotency", "--samples", "200"]) == 1
+
+    write_into_a_closed_pipe()  # the first run loads what later runs reuse
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        write_into_a_closed_pipe()
+    assert len(os.listdir("/proc/self/fd")) == before

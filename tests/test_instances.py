@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from effhom import (
     COUNTABLE,
+    DEFAULT_DEGREES,
     ZERO,
     Z,
     Comb,
@@ -19,6 +20,7 @@ from effhom import (
     normalize,
     parse_element,
 )
+from effhom import reduction
 from effhom.instances import (
     CATALOG,
     HOMOTOPIES,
@@ -142,7 +144,8 @@ class TestHcc2:
                 assert hcc2().at(i + 1)(hcc2().at(i)(e)) == Comb(())
 
     def test_acyclic_packaging(self):
-        assert check_reduction_laws(cc2_to_null().reduction, WINDOW, SAMPLER).ok
+        for sampler in (SAMPLER, Sampler()):
+            assert check_reduction_laws(cc2_to_null().reduction, WINDOW, sampler).ok
 
 
 class TestZxZnat:
@@ -161,7 +164,8 @@ class TestZxZnat:
         assert out == a
 
     def test_laws_pass(self):
-        assert check_reduction_laws(zxznat().reduction, WINDOW, SAMPLER).ok
+        for sampler in (SAMPLER, Sampler()):
+            assert check_reduction_laws(zxznat().reduction, WINDOW, sampler).ok
 
 
 class TestAlphaPi1:
@@ -229,6 +233,33 @@ class TestHTop:
     def test_contracts_everywhere(self):
         top = cone_example().reduction.top
         assert check_contracting(top, h_top(), WINDOW, SAMPLER).ok
+
+
+class TestBuildsSampleNoLaw:
+    def test_no_build_runs_a_law(self, monkeypatch):
+        calls = []
+        run_law = reduction.run_law
+
+        def counted(name, *args):
+            calls.append(name)
+            return run_law(name, *args)
+
+        monkeypatch.setattr(reduction, "run_law", counted)
+        # fresh builds; the cached instances stay the ones other tests hold
+        zxznat.__wrapped__()
+        cc2_to_null.__wrapped__()
+        assert calls == []
+
+    def test_builds_keep_their_reductions_and_laws(self):
+        assert cc2_to_null().reduction.top is cc2()
+        assert cc2_to_null().reduction.bottom is null_complex()
+        assert cc2_to_null().reduction.h is hcc2()
+        assert zxznat().reduction.top is sum12()
+        assert zxznat().reduction.bottom is fcc1()
+        for eh in (zxznat(), cc2_to_null()):
+            report = check_reduction_laws(eh.reduction, DEFAULT_DEGREES, Sampler())
+            assert report.ok
+            assert len(report.sections) == 5
 
 
 class TestCatalogWiring:

@@ -14,7 +14,7 @@ from math import gcd, prod
 
 import pytest
 
-from effhom import IntMatrix, invariant_factors, smith_normal_form
+from effhom import IntMatrix, invariant_factors, smith_normal_form, snf
 
 
 def bareiss_det(rows):
@@ -201,6 +201,42 @@ class TestSeededSuite:
         # Z/2 + Z/5 is Z/10
         a = IntMatrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, 5]])
         assert invariant_factors(a) == (1, 1, 10)
+
+
+def simplex_boundaries(n: int) -> list[IntMatrix]:
+    """The boundary matrices of the n-simplex, edges onto vertices first."""
+    faces = [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    matrices = []
+    for low, high in zip(faces, faces[1:]):
+        position = {face: r for r, face in enumerate(low)}
+        rows = [[0] * len(high) for _ in low]
+        for col, face in enumerate(high):
+            for t in range(len(face)):
+                rows[position[face[:t] + face[t + 1 :]]][col] = (-1) ** t
+        matrices.append(IntMatrix.from_rows(rows))
+    return matrices
+
+
+class TestUnitPivots:
+    def test_the_dense_loop_gets_nothing_left(self, monkeypatch):
+        # the answers do not show whether the +-1 pivots were taken; the
+        # shape of what reaches the dense loop does
+        shapes = []
+        diagonalize = snf._diagonalize
+
+        def recorded(d, m, n):
+            shapes.append((m, n))
+            return diagonalize(d, m, n)
+
+        monkeypatch.setattr(snf, "_diagonalize", recorded)
+        minus_identity = IntMatrix(
+            20, 20, tuple(-int(i == j) for i in range(20) for j in range(20))
+        )
+        assert invariant_factors(minus_identity) == (1,) * 20
+        assert [invariant_factors(b) for b in simplex_boundaries(6)] == [
+            (1,) * rank for rank in (6, 15, 20, 15, 6, 1)
+        ]
+        assert shapes == [(0, 0)] * 7
 
 
 class TestIntMatrix:
