@@ -51,6 +51,10 @@ _RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 #: a bad range from running until it is killed.  The default has 17 degrees.
 MAX_DEGREES = 10_000
 
+#: Most report lines of one law in ``check``, ``--samples`` times the degrees
+#: of ``--degrees`` (about 44 MB); the two bounds alone allow 10^9 lines.
+MAX_VERDICTS = 1_000_000
+
 #: Each ``Sampler`` field and the ``check`` option that sets it, in ``--help`` order.
 _SAMPLER_OPTIONS = {
     "samples": "--samples",
@@ -216,6 +220,11 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     sampler = _sampler(args)
     degrees = _parse_range(args.degrees)
+    if (verdicts := sampler.samples * len(degrees)) > MAX_VERDICTS:
+        raise UsageError(
+            f"--samples {sampler.samples} over the {len(degrees)} degrees of --degrees "
+            f"asks for {verdicts} verdicts a law, more than {MAX_VERDICTS}"
+        )
     law = args.law
     if law == "nilpotency":
         report = check_nilpotency(_complex(args.instance), degrees, sampler)

@@ -45,7 +45,11 @@ from .reduction import (
 
 
 def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
-    """The block map (x, y) -> (a x, b x + c y) out of ``a.source (+) c.source``."""
+    """The block map (x, y) -> (a x, b x + c y) out of ``a.source (+) c.source``.
+
+    It is the grid [[a, 0], [b, c]] of ``effhom.morphisms``, so a law's composite
+    of such maps multiplies its blocks once, when built; a zero block is no entry.
+    """
     domain = DirectSum(a.source, c.source)
     p1, p2 = proj1(domain), proj2(domain)
     return pair(a * p1, b * p1 + c * p2)

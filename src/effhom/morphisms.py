@@ -39,6 +39,15 @@ Traceback (most recent call last):
     ...
 effhom.errors.MembershipError: x3 is not a member of Z
 
+A map built here with a direct sum at one end keeps its block matrix, a
+*grid*: a row per leaf of the target (see ``effhom.modules``), an entry per
+leaf of the source, each a map between the two leaves or None for zero.
+``*``, ``+`` and ``-`` combine grids when built, folding entry by entry; a
+grid of Nones is a zero map.  The compiled action reads the source leaves,
+skips a zero one (M(0) = 0), sums each row and joins the rows.  A map that
+checks its own images has no grid, nor has a caller's map on a sum;
+composites with either keep closures.
+
 Every morphism is linear: M(sum of c*x) = sum of c*M(x) for integers c
 and elements x.  The constructors here build linear maps from linear
 parts, and a ``ModMorphism`` built directly must have a linear action too.
@@ -52,11 +61,14 @@ pointwise on sampled elements instead.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, ClassVar
 
 from .errors import MembershipError, ShapeMismatchError
-from .modules import Comb, DirectSum, Element, FreeModule, Pair
+from .modules import Comb, DirectSum, Element, FreeModule, Pair, join, leaves
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +81,8 @@ class ModMorphism:
     #: ``_ZERO``, ``_IDENTITY`` or ``_CHECKS``, set only by this module's
     #: constructors through ``_tagged``; a caller's morphism has none.
     _tag: ClassVar[str | None] = None
+    #: The blocks of a map built here between direct sums; see ``_grid_of``.
+    _grid: ClassVar[tuple | None] = None
 
     def __call__(self, element: Element) -> Element:
         self.source.require(element)
@@ -89,6 +103,12 @@ class ModMorphism:
             return self
         if other._tag is _ZERO or (self._tag is _ZERO and other._tag is not _CHECKS):
             return zero_map(other.source, self.target)
+        if grids := _grids((self, other), other.source, self.source, self.target):
+            columns = list(zip(*grids[1]))
+            return _from_grid(other.source, self.target, tuple([
+                tuple([_entry([x * y for x, y in zip(r, c) if x and y]) for c in columns])
+                for r in grids[0]
+            ]))
         outer, inner = self.action, other.action
         composite = ModMorphism(other.source, self.target, lambda e: outer(inner(e)))
         return _composite(composite, self, other)
@@ -102,6 +122,11 @@ class ModMorphism:
             return other
         if other._tag is _ZERO:
             return self
+        if grids := _grids((self, other), self.source, self.target):
+            return _from_grid(self.source, self.target, tuple([
+                tuple([_entry([x for x in xs if x]) for xs in zip(*rows)])
+                for rows in zip(*grids)
+            ]))
         a, b = self.action, other.action
         return _composite(
             ModMorphism(self.source, self.target, lambda e: a(e) + b(e)), self, other
@@ -110,6 +135,9 @@ class ModMorphism:
     def __neg__(self) -> "ModMorphism":
         if self._tag is _ZERO:
             return self
+        if grids := _grids((self,), self.source, self.target):
+            grid = tuple([tuple([x and -x for x in row]) for row in grids[0]])
+            return _from_grid(self.source, self.target, grid)
         a = self.action
         return _composite(ModMorphism(self.source, self.target, lambda e: -a(e)), self)
 
@@ -131,6 +159,99 @@ def _composite(morphism: ModMorphism, *parts: ModMorphism) -> ModMorphism:
         if p._tag is _CHECKS:
             return _tagged(morphism, _CHECKS)
     return morphism
+
+
+def _grids(maps, *ends: FreeModule) -> list | None:
+    """The grids of ``maps`` when an end is a direct sum and each map has one."""
+    for end in ends:
+        if isinstance(end, DirectSum):
+            grids = [_grid_of(m) for m in maps]
+            return None if None in grids else grids
+    return None
+
+
+def _grid_of(m: ModMorphism) -> tuple | None:
+    """The grid of ``m`` or None; a map between leaves is its one entry."""
+    if m._grid is not None or m._tag is _CHECKS:
+        return m._grid
+    if not isinstance(m.source, DirectSum) and not isinstance(m.target, DirectSum):
+        return ((None if m._tag is _ZERO else m,),)
+    if m._tag is _IDENTITY:  # an identity or a zero map on a sum: on first use
+        grid = _eye(m.source)
+    elif m._tag is _ZERO:
+        grid = ((None,) * len(leaves(m.source)),) * len(leaves(m.target))
+    else:
+        return None
+    object.__setattr__(m, "_grid", grid)
+    return grid
+
+
+def _entry(terms: list[ModMorphism]) -> ModMorphism | None:
+    """The sum of leaf maps, or None when it folds to zero."""
+    total = sum(terms[1:], terms[0]) if terms else None
+    return None if total is None or total._tag is _ZERO else total
+
+
+def _from_grid(source: FreeModule, target: FreeModule, grid: tuple) -> ModMorphism:
+    """The map with these blocks: a zero map or a leaf map when it is one."""
+    if not any(map(any, grid)):
+        m = zero_map(source, target)
+    elif not isinstance(source, DirectSum) and not isinstance(target, DirectSum):
+        return grid[0][0]
+    else:
+        # The first call compiles the action onto the map, held weakly: a strong
+        # reference makes each unapplied map a cycle only the collector frees.
+        m, act = ModMorphism(source, target, None), None
+        owner = weakref.ref(m)
+
+        def compile_once(e):
+            nonlocal act
+            if act is None:
+                act = _compiled(source, target, grid)
+                if (m := owner()) is not None:
+                    object.__setattr__(m, "action", act)
+            return act(e)
+
+        object.__setattr__(m, "action", compile_once)
+    object.__setattr__(m, "_grid", grid)
+    return m
+
+
+def _compiled(source: FreeModule, target: FreeModule, grid: tuple):
+    """A grid's action: each row sums its entries' images of the nonzero leaves."""
+    read = attrgetter(*_paths(source)) if isinstance(source, DirectSum) else lambda e: (e,)
+    rows = [
+        (leaf.zero(), [(j, x.action) for j, x in enumerate(row) if x])
+        for leaf, row in zip(leaves(target), grid)
+    ]
+
+    def act(e):
+        parts, images = read(e), []
+        for image, row in rows:
+            for j, f in row:
+                if parts[j].terms:  # an entry maps 0 to 0
+                    image = image + f(parts[j]) if image.terms else f(parts[j])
+            images.append(image)
+        return join(target, iter(images))
+
+    return act
+
+
+@lru_cache(maxsize=256)
+def _eye(desc: FreeModule) -> tuple:
+    """The grid of the identity of ``desc``, made once per description."""
+    parts = leaves(desc)
+    return tuple(
+        tuple(identity(leaf) if j == i else None for j in range(len(parts)))
+        for i, leaf in enumerate(parts)
+    )
+
+
+def _paths(desc: FreeModule, path: str = "") -> list[str]:
+    """The attribute path of each leaf of a direct sum, such as ``left.right``."""
+    if not isinstance(desc, DirectSum):
+        return [path.lstrip(".")]
+    return _paths(desc.left, path + ".left") + _paths(desc.right, path + ".right")
 
 
 def identity(desc: FreeModule) -> ModMorphism:
@@ -192,23 +313,23 @@ def from_generator_images(
 
 
 def proj1(desc: DirectSum) -> ModMorphism:
-    _require_sum(desc)
-    return ModMorphism(desc, desc.left, lambda e: e.left)
+    eye, n = _eye_of_sum(desc)
+    return _from_grid(desc, desc.left, eye[:n])
 
 
 def proj2(desc: DirectSum) -> ModMorphism:
-    _require_sum(desc)
-    return ModMorphism(desc, desc.right, lambda e: e.right)
+    eye, n = _eye_of_sum(desc)
+    return _from_grid(desc, desc.right, eye[n:])
 
 
 def inj1(desc: DirectSum) -> ModMorphism:
-    _require_sum(desc)
-    return ModMorphism(desc.left, desc, lambda e: Pair(e, desc.right.zero()))
+    eye, n = _eye_of_sum(desc)
+    return _from_grid(desc.left, desc, tuple(row[:n] for row in eye))
 
 
 def inj2(desc: DirectSum) -> ModMorphism:
-    _require_sum(desc)
-    return ModMorphism(desc.right, desc, lambda e: Pair(desc.left.zero(), e))
+    eye, n = _eye_of_sum(desc)
+    return _from_grid(desc.right, desc, tuple(row[n:] for row in eye))
 
 
 def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
@@ -216,6 +337,9 @@ def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     if f.source != g.source:
         raise ShapeMismatchError("paired morphisms must share their source")
     target = DirectSum(f.target, g.target)
+    a, b = _grid_of(f), _grid_of(g)
+    if a and b:
+        return _from_grid(f.source, target, a + b)
     fa, ga = f.action, g.action
     return _composite(ModMorphism(f.source, target, lambda e: Pair(fa(e), ga(e))), f, g)
 
@@ -224,12 +348,19 @@ def direct_sum_map(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     """Componentwise action on a direct sum: ``(a, b) -> (f(a), g(b))``."""
     source = DirectSum(f.source, g.source)
     target = DirectSum(f.target, g.target)
+    a, b = _grid_of(f), _grid_of(g)
+    if a and b:
+        left, right = (None,) * len(a[0]), (None,) * len(b[0])
+        grid = tuple(row + right for row in a) + tuple(left + row for row in b)
+        return _from_grid(source, target, grid)
     fa, ga = f.action, g.action
     return _composite(
         ModMorphism(source, target, lambda e: Pair(fa(e.left), ga(e.right))), f, g
     )
 
 
-def _require_sum(desc: FreeModule) -> None:
+def _eye_of_sum(desc: FreeModule) -> tuple[tuple, int]:
+    """The grid of the identity of a direct sum and its left leaf count."""
     if not isinstance(desc, DirectSum):
         raise ShapeMismatchError(f"{desc} is not a direct sum")
+    return _eye(desc), len(leaves(desc.left))

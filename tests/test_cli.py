@@ -19,13 +19,14 @@ from effhom import (
     check_reduction_laws,
 )
 from effhom import cli
-from effhom.cli import MAX_DEGREES, build_parser, main
+from effhom.cli import MAX_DEGREES, MAX_VERDICTS, build_parser, main
 from effhom.instances import (
     CATALOG,
     resolve_complex,
     resolve_effective_homology,
     resolve_homotopy,
 )
+from effhom.laws import LawReport
 from effhom.sampling import MAX_SAMPLES
 
 from test_grammar import PARSE_MESSAGES
@@ -473,6 +474,34 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "homology_window", record)
         assert run_cli(capsys, "homology", "fcc1", f"1..{MAX_DEGREES}") == (0, "", "")
         assert windows == [range(1, MAX_DEGREES + 1)]
+
+    def test_samples_times_degrees_past_max_is_refused(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the refused check started a run")
+
+        monkeypatch.setattr(cli, "check_nilpotency", never)
+        for samples, degrees, verdicts in (
+            (100_000, "0..9999", 10**9),
+            (1_000, "1..1001", MAX_VERDICTS + 1_000),
+        ):
+            message = (
+                f"error: --samples {samples} over the {verdicts // samples} degrees of "
+                f"--degrees asks for {verdicts} verdicts a law, more than {MAX_VERDICTS}\n"
+            )
+            argv = ("check", "cc2", "nilpotency", "--samples", str(samples))
+            assert run_cli(capsys, *argv, "--degrees", degrees) == (2, "", message)
+
+    def test_samples_times_degrees_at_max_is_accepted(self, capsys, monkeypatch):
+        runs = []
+
+        def record(cc, degrees, sampler):
+            runs.append((degrees, sampler.samples))
+            return LawReport(())
+
+        monkeypatch.setattr(cli, "check_nilpotency", record)
+        argv = ("check", "cc2", "nilpotency", "--samples", "1000", "--degrees", "1..1000")
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert runs == [(range(1, 1001), 1000)] and 1000 * 1000 == MAX_VERDICTS
 
     def test_degree_range_with_a_trailing_newline_is_refused(self, capsys):
         message = "error: expected a degree range like -8..8, got '0..1\\n'\n"

@@ -1,7 +1,9 @@
 """Morphism construction and the pointwise algebra laws."""
 
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from effhom import (
@@ -9,6 +11,7 @@ from effhom import (
     Z,
     Comb,
     DirectSum,
+    FiniteFree,
     MembershipError,
     ModMorphism,
     Pair,
@@ -27,7 +30,9 @@ from effhom import (
     scaling,
     zero_map,
 )
-from effhom.instances import cc2
+from effhom import instances
+from effhom.instances import cc2, h_top
+from effhom.modules import basis, join, leaves, split
 
 E = Comb(((0, 8), (4, 7)))
 
@@ -74,6 +79,7 @@ class TestGeneratorImages:
 # `f+g` (BAD - BAD) the bad term is discarded or cancels before the outer
 # boundary, so only the leaf's own check can catch it.
 BAD = from_generator_images(Z, Z, lambda j: generator(j + 1))
+ZZ = DirectSum(Z, Z)
 
 
 @pytest.mark.parametrize(
@@ -84,8 +90,11 @@ BAD = from_generator_images(Z, Z, lambda j: generator(j + 1))
         BAD - BAD,
         pair(BAD, identity(Z)),
         direct_sum_map(identity(Z), BAD),
+        proj1(ZZ) * direct_sum_map(BAD, identity(Z)),
+        zero_map(ZZ, Z) * direct_sum_map(BAD, identity(Z)),
+        -direct_sum_map(BAD, identity(Z)),
     ],
-    ids=["g*f", "f*g", "f+g", "pair", "direct_sum_map"],
+    ids=["g*f", "f*g", "f+g", "pair", "direct_sum_map", "proj1*sum", "z*sum", "-sum"],
 )
 def test_bad_image_inside_composite_raises_at_application(composite):
     x = generator(0)
@@ -136,6 +145,25 @@ class TestFolds:
         assert ModMorphism(Z, Z, lambda e: e) * f is not f
         assert f + ModMorphism(Z, Z, lambda e: Comb(())) is not f
 
+    def test_a_projection_of_a_sum_map_runs_one_side(self):
+        seen = []
+        counting = ModMorphism(Z, Z, lambda e: seen.append(e) or e)
+        m = proj1(ZZ) * direct_sum_map(scaling(Z, 2), counting)
+        assert m(Pair(generator(0), generator(0))) == Comb(((0, 2),))
+        assert seen == []
+
+    def test_a_sum_map_of_zeros_is_a_zero(self):
+        f = scaling(ZC, 3)
+        assert direct_sum_map(zero_map(Z, Z), zero_map(COUNTABLE, COUNTABLE)) + f is f
+        assert f + pair(zero_map(ZC, Z), proj2(ZC) * zero_map(ZC, ZC)) is f
+
+    def test_h_top_runs_only_its_nonzero_leaves(self):
+        # htop(0) is (x, y, z) -> (z, -k(y), 0) with k a parity map of the
+        # catalog, so only a nonzero Z[N] leaf runs a catalog leaf action
+        h = h_top().at(0)
+        elements = basis(h.source, [1, 3, 1])
+        assert [catalog_leaf_runs(h, x) for x in elements] == [0, 1, 1, 1, 0]
+
     def test_shapes_are_checked_before_folding(self):
         with pytest.raises(ShapeMismatchError):
             identity(Z) * zero_map(Z, COUNTABLE)
@@ -143,6 +171,23 @@ class TestFolds:
             zero_map(Z, Z) * zero_map(Z, COUNTABLE)
         with pytest.raises(ShapeMismatchError):
             zero_map(Z, Z) + zero_map(Z, COUNTABLE)
+
+
+def catalog_leaf_runs(m, x):
+    """How many leaf actions of ``effhom.instances`` run while ``m(x)`` runs."""
+    runs = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == instances.__file__:
+            runs.append(code.co_name == "<lambda>")
+
+    sys.setprofile(profile)
+    try:
+        m(x)
+    finally:
+        sys.setprofile(None)
+    return sum(runs)
 
 
 class TestApplication:
@@ -369,3 +414,226 @@ def test_folding_keeps_every_value(data, source, target, seed):
         assert outcome(folding, x) == outcome(unfolded, x)
         assert outcome(discarded, x) == outcome(kept, x)
         assert outcome(fed_zero, x) == outcome(fed_zero_, x)
+
+
+# Random expression trees over nested direct sums, each applied by the
+# library and by `interpret`, which follows the definitions of the
+# constructors and knows nothing of grids or folds.
+A, B = FiniteFree(2), FiniteFree(3)
+WIDE = dict(max_support=200, max_generator=1000, coeff_bound=10**12)
+
+
+def descriptions(n):
+    """Every description with ``n`` leaves, each leaf A, B or Z[N]."""
+    if n == 1:
+        return [A, B, COUNTABLE]
+    return [
+        DirectSum(left, right)
+        for k in range(1, n)
+        for left in descriptions(k)
+        for right in descriptions(n - k)
+    ]
+
+
+DESCRIPTIONS = [descriptions(n) for n in range(1, 5)]
+
+
+def any_description(draw):
+    return draw(st.sampled_from(DESCRIPTIONS[draw(st.integers(0, 3))]))
+
+
+def even_part(e):
+    return Comb(tuple(t for t in e.terms if t[0] % 2 == 0))
+
+
+def images_into(target, bad):
+    """Generator images in the leaf ``target``; a bad map sends x1 to a pair."""
+
+    def images(j):
+        if bad and j == 1:
+            return Pair(Comb(()), Comb(()))
+        if isinstance(target, FiniteFree):
+            return normalize([(1, j % target.rank), (2, (j + 1) % target.rank)], target)
+        return normalize([(1, j), (-1, j + 1)], target)
+
+    return images
+
+
+def mixing(source, target):
+    """A caller's linear map: the sum of all source leaves, cut to each target
+    leaf and multiplied by its position."""
+    shape = leaves(target)
+
+    def act(e):
+        total = Comb(())
+        for _, part in split(e, source):
+            total = total + part
+        return join(target, iter([
+            (k + 1) * Comb(tuple(t for t in total.terms if leaf.contains(Comb((t,)))))
+            for k, leaf in enumerate(shape)
+        ]))
+
+    return act
+
+
+def leaf_trees(draw, source, target, closures):
+    """A leaf; with ``closures`` also the maps that composites keep as closures:
+    generator images, which check themselves, and a caller's map on a sum.
+    A zero folds a whole product away, so it is drawn one time in six."""
+    kinds = []
+    if not isinstance(source, DirectSum) and not isinstance(target, DirectSum):
+        if source == target:
+            kinds += ["scaling", "even"]
+        kinds.append("mixing")
+        if closures:
+            kinds += ["images", "bad images"]
+    elif closures:
+        kinds.append("mixing")
+    if source == target:
+        kinds.append("identity")
+    zero = draw(st.integers(0, 5)) == 5 or not kinds
+    kind = "zero" if zero else draw(st.sampled_from(kinds))
+    factor = draw(st.integers(-3, 3)) if kind == "scaling" else None
+    return (kind, source, target, factor)
+
+
+def trees_between(draw, closures, source, target, depth):
+    """A tree ``(op, source, target, *parts)`` of a map ``source -> target``.
+
+    The shuffles of sums end on smaller sums, so only ``*``, ``+``, ``-`` and
+    the projections onto ``target``, which may grow them, spend ``depth``.
+    """
+    ops = ["*", "+", "-", "proj1", "proj2"] if depth else []
+    if isinstance(source, DirectSum):
+        ops += ["after proj1", "after proj2"]
+    if isinstance(target, DirectSum):
+        ops += ["pair", "inj1", "inj2"]
+        if isinstance(source, DirectSum):
+            ops.append("direct_sum_map")
+    ops.append("leaf")
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        return leaf_trees(draw, source, target, closures)
+    if op == "pair":
+        f = trees_between(draw, closures, source, target.left, depth)
+        return (op, source, target, f, trees_between(draw, closures, source, target.right, depth))
+    if op in ("inj1", "inj2"):
+        part = target.left if op == "inj1" else target.right
+        return (op, source, target, trees_between(draw, closures, source, part, depth))
+    if op in ("after proj1", "after proj2"):
+        part = source.left if op == "after proj1" else source.right
+        return (op, source, target, trees_between(draw, closures, part, target, depth))
+    if op == "direct_sum_map":
+        f = trees_between(draw, closures, source.left, target.left, depth)
+        g = trees_between(draw, closures, source.right, target.right, depth)
+        return (op, source, target, f, g)
+    depth -= 1
+    if op == "-":
+        return (op, source, target, trees_between(draw, closures, source, target, depth))
+    if op == "+":
+        f = trees_between(draw, closures, source, target, depth)
+        return (op, source, target, f, trees_between(draw, closures, source, target, depth))
+    if op == "*":
+        middle = any_description(draw)
+        f = trees_between(draw, closures, middle, target, depth)
+        return (op, source, target, f, trees_between(draw, closures, source, middle, depth))
+    other = any_description(draw)
+    total = DirectSum(target, other) if op == "proj1" else DirectSum(other, target)
+    return (op, source, target, trees_between(draw, closures, source, total, depth))
+
+
+def build(tree):
+    """The library's morphism for ``tree``."""
+    op, source, target, *parts = tree
+    if op == "zero":
+        return zero_map(source, target)
+    if op == "identity":
+        return identity(source)
+    if op == "mixing":
+        return ModMorphism(source, target, mixing(source, target))
+    if op in ("images", "bad images"):
+        return from_generator_images(source, target, images_into(target, op == "bad images"))
+    if op == "scaling":
+        return scaling(source, parts[0])
+    if op == "even":
+        return ModMorphism(source, source, even_part)
+    maps = [build(p) for p in parts]
+    if op == "-":
+        return -maps[0]
+    if op == "+":
+        return maps[0] + maps[1]
+    if op == "*":
+        return maps[0] * maps[1]
+    if op in ("proj1", "proj2"):
+        return (proj1 if op == "proj1" else proj2)(maps[0].target) * maps[0]
+    if op in ("inj1", "inj2"):
+        return (inj1 if op == "inj1" else inj2)(target) * maps[0]
+    if op in ("after proj1", "after proj2"):
+        return maps[0] * (proj1 if op == "after proj1" else proj2)(source)
+    return (pair if op == "pair" else direct_sum_map)(*maps)
+
+
+def interpret(tree, x):
+    """The image of ``x`` under ``tree``, every node evaluated on its input."""
+    op, source, target, *parts = tree
+    if op == "zero":
+        return target.zero()
+    if op == "identity":
+        return x
+    if op == "mixing":
+        return mixing(source, target)(x)
+    if op == "scaling":
+        return parts[0] * x
+    if op == "even":
+        return even_part(x)
+    if op in ("images", "bad images"):
+        images, out = images_into(target, op == "bad images"), Comb(())
+        for g, c in x.terms:
+            image = images(g)
+            if not isinstance(image, Comb):
+                raise MembershipError("a generator image is not a combination")
+            out = out + c * image
+        return target.require(out)
+    if op == "-":
+        return -interpret(parts[0], x)
+    if op == "+":
+        return interpret(parts[0], x) + interpret(parts[1], x)
+    if op == "*":
+        return interpret(parts[0], interpret(parts[1], x))
+    if op == "proj1":
+        return interpret(parts[0], x).left
+    if op == "proj2":
+        return interpret(parts[0], x).right
+    if op == "inj1":
+        return Pair(interpret(parts[0], x), target.right.zero())
+    if op == "inj2":
+        return Pair(target.left.zero(), interpret(parts[0], x))
+    if op == "after proj1":
+        return interpret(parts[0], x.left)
+    if op == "after proj2":
+        return interpret(parts[0], x.right)
+    if op == "pair":
+        return Pair(interpret(parts[0], x), interpret(parts[1], x))
+    return Pair(interpret(parts[0], x.left), interpret(parts[1], x.right))
+
+
+def interpreted(tree, x):
+    try:
+        return tree[2].require(interpret(tree, x))
+    except MembershipError:
+        return MembershipError
+
+
+@seed(1004)
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 2**32))
+def test_grids_match_an_interpreter_of_the_definitions(data, sampler_seed):
+    source, target = any_description(data.draw), any_description(data.draw)
+    tree = trees_between(data.draw, data.draw(st.booleans()), source, target, 3)
+    m = build(tree)
+    sizes = [2] * len(leaves(source))  # x0, x1 of each leaf: the bad image is x1's
+    elements = basis(source, sizes)
+    for bounds in ({}, WIDE):
+        elements += Sampler(seed=sampler_seed, samples=1, **bounds).elements(source, "grid")
+    for x in elements:
+        assert outcome(m, x) == interpreted(tree, x)
