@@ -28,6 +28,7 @@ from .cone import _swap, cone_effective_homology
 from .modules import COUNTABLE, Z, Comb
 from .morphisms import (
     ModMorphism,
+    _periodic,
     direct_sum_map,
     identity,
     pair,
@@ -87,12 +88,13 @@ def fcc1() -> ChainComplex:
 def _parity_map(i: int) -> ModMorphism:
     """On x0, x1, ...: keep the generators of the parity of ``i``, kill the rest."""
     keep = i % 2
-    return ModMorphism(
+    parity = ModMorphism(
         COUNTABLE,
         COUNTABLE,
         # a subsequence of canonical terms is canonical
         lambda e: Comb._canonical(tuple(t for t in e.terms if t[0] % 2 == keep)),
     )
+    return _periodic(parity, 2)  # x_n and x_{n+2} have one parity
 
 
 @cache

@@ -13,11 +13,15 @@ The engine relies on the linearity contract of ``effhom.morphisms``:
 every morphism M satisfies M(sum of c*x) = sum of c*M(x).  The samples of
 a degree are combinations of its *span*, the basis elements the sampler
 draws from, so when the two sides agree on the span every sample passes.
-When the span is smaller than the sample count, ``run_law`` decides that
-first, applying each side once per span element, and draws no sample
-when it holds.  Otherwise, or when a span element disagrees, every sample
-is applied whole, so a cancellation still passes and a failure records
-``lhs(a)``.
+When both sides have a period p (see ``effhom.morphisms``), the span of
+a countable leaf is cut to x0 .. x{p-1}: they commute with the shift S of
+period p, so agreement on x_r gives M(x_{qp+r}) = S^q M(x_r) = N(x_{qp+r})
+for every q, and the cut span decides the law exactly.  A side without a
+period keeps the sampler's whole span.  When the span is smaller than the
+sample count, ``run_law`` decides that first, applying each side once per
+span element, and draws no sample when it holds.  Otherwise, or when a
+span element disagrees, every sample is applied whole, so a cancellation
+still passes and a failure records ``lhs(a)``.
 
 A report gathers one section per law; a section keeps its failures and
 the sampler settings, so a failed run can be replayed exactly.  ``records``
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from math import lcm
 from typing import Callable
 
 from .errors import ShapeMismatchError
@@ -177,7 +182,8 @@ def run_law(
     """Sample the equation ``sides(i)`` at every degree ``i`` of a window.
 
     The span of a degree is x0 .. x{n-1} of each leaf of ``lhs.source``,
-    where n is the leaf's ``Sampler._population``.  When the span has fewer
+    where n is the leaf's ``Sampler._population``; when both sides have a
+    period p, n is at most p on a countable leaf.  When the span has fewer
     elements than ``sampler.samples``, both sides are applied to every span
     element first, and if they agree on all of them every sample passes
     without being drawn.  Otherwise every sample is drawn and applied whole.
@@ -197,7 +203,11 @@ def run_law(
                 f"law {name} at degree {i} compares {lhs.source} -> {lhs.target} "
                 f"with {rhs.source} -> {rhs.target}"
             )
-        sizes = [sampler._population(leaf) for leaf in leaves(lhs.source)]
+        shape = leaves(lhs.source)
+        sizes = [sampler._population(leaf) for leaf in shape]
+        if lhs._period and rhs._period:  # both commute with the shift of period p
+            p = lcm(lhs._period, rhs._period)
+            sizes = [n if x.is_finite_type() else min(n, p) for x, n in zip(shape, sizes)]
         # a list, not a generator: every span element is applied, so a bad
         # image raises from the call on its own generator
         if sum(sizes) < sampler.samples and all(

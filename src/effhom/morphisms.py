@@ -54,6 +54,17 @@ parts, and a ``ModMorphism`` built directly must have a linear action too.
 The law engine relies on this contract: it decides a sampled law on the
 basis elements the sampler draws from (see ``effhom.laws``).
 
+A map built here may also have a *period* p: it commutes with the shift S
+that sends x_n to x_{n+p} on every countable leaf and fixes every finite
+leaf, so its images of x0 .. x{p-1} fix those of every x_n.  ``identity``,
+``zero_map`` and ``scaling`` have period 1, and a library map may be
+declared with one by ``_periodic``.  ``*``, ``+``, ``-``, ``pair``,
+``direct_sum_map`` and a grid have the lcm of their parts' periods, since
+that shift commutes with every part.  A ``from_generator_images`` map, a
+caller's ``ModMorphism`` and any composite with either as a part have
+none.  The law engine decides an equation of two maps with periods on one
+period of each countable leaf.
+
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms
 pointwise on sampled elements instead.
@@ -64,6 +75,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from operator import attrgetter
 from typing import Callable, ClassVar
 
@@ -83,6 +95,9 @@ class ModMorphism:
     _tag: ClassVar[str | None] = None
     #: The blocks of a map built here between direct sums; see ``_grid_of``.
     _grid: ClassVar[tuple | None] = None
+    #: The p with M S = S M for the shift S of ``_periodic``, set only by the
+    #: library's constructors; a caller's morphism has none.
+    _period: ClassVar[int | None] = None
 
     def __call__(self, element: Element) -> Element:
         self.source.require(element)
@@ -153,8 +168,23 @@ def _tagged(morphism: ModMorphism, tag: str) -> ModMorphism:
     return morphism
 
 
+def _periodic(morphism: ModMorphism, period: int) -> ModMorphism:
+    """``morphism``, declared to commute with the shift S of period ``period``.
+
+    S sends x_n to x_{n+period} on every countable leaf and fixes every
+    finite leaf.  Only a map that commutes with it may be declared: the
+    law engine decides an equation of two such maps on x0 .. x{period-1}.
+    """
+    object.__setattr__(morphism, "_period", period)
+    return morphism
+
+
 def _composite(morphism: ModMorphism, *parts: ModMorphism) -> ModMorphism:
-    """``morphism``, tagged ``_CHECKS`` when one of its parts checks its images."""
+    """``morphism``, tagged ``_CHECKS`` when one of its parts checks its images,
+    with the lcm of its parts' periods when each part has one."""
+    periods = [p._period for p in parts]
+    if None not in periods:
+        _periodic(morphism, lcm(*periods))
     for p in parts:
         if p._tag is _CHECKS:
             return _tagged(morphism, _CHECKS)
@@ -213,6 +243,7 @@ def _from_grid(source: FreeModule, target: FreeModule, grid: tuple) -> ModMorphi
             return act(e)
 
         object.__setattr__(m, "action", compile_once)
+        _composite(m, *[x for row in grid for x in row if x])
     object.__setattr__(m, "_grid", grid)
     return m
 
@@ -255,17 +286,17 @@ def _paths(desc: FreeModule, path: str = "") -> list[str]:
 
 
 def identity(desc: FreeModule) -> ModMorphism:
-    return _tagged(ModMorphism(desc, desc, lambda e: e), _IDENTITY)
+    return _tagged(_periodic(ModMorphism(desc, desc, lambda e: e), 1), _IDENTITY)
 
 
 def zero_map(source: FreeModule, target: FreeModule) -> ModMorphism:
     zero = target.zero()  # elements are immutable, so one zero serves every call
-    return _tagged(ModMorphism(source, target, lambda e: zero), _ZERO)
+    return _tagged(_periodic(ModMorphism(source, target, lambda e: zero), 1), _ZERO)
 
 
 def scaling(desc: FreeModule, factor: int) -> ModMorphism:
     """Multiplication by a fixed integer."""
-    return ModMorphism(desc, desc, lambda e: factor * e)
+    return _periodic(ModMorphism(desc, desc, lambda e: factor * e), 1)
 
 
 def from_generator_images(

@@ -68,9 +68,11 @@ def _sample(bits, n: int, k: int) -> list[int]:
 
 #: Largest ``samples``.  ``elements`` builds a degree's whole list before its
 #: law is checked, and a report, printed a degree at a time, writes a line per
-#: sample: one drawn degree of ``cc2`` nilpotency at 100,000 samples takes
-#: about 1.1 s and 40 MB (Python 3.11, 2 CPUs), so the bound keeps a bad
-#: ``--samples`` from running until it is killed.  The CLI default is 32.
+#: sample.  A law that holds on its span draws nothing (``cc2`` nilpotency has
+#: period 2, so it is decided on x0, x1), but a failing one draws every sample:
+#: one degree of ``h1`` contracting ``cone-example.bottom`` at 100,000 samples
+#: takes about 2 s and 84 MB peak RSS (Python 3.11, 2 CPUs), so the bound keeps
+#: a bad ``--samples`` from running until it is killed.  The CLI default is 32.
 MAX_SAMPLES = 100_000
 
 

@@ -22,6 +22,8 @@ from effhom import (
     ChainComplex,
     ChainMorphism,
     Comb,
+    DirectSum,
+    ModMorphism,
     Pair,
     Sampler,
     ShapeMismatchError,
@@ -35,21 +37,29 @@ from effhom import (
     cone_contraction,
     cone_effective_homology,
     cone_reduction,
+    direct_sum_complex,
+    direct_sum_map,
     from_generator_images,
     generator,
+    identity,
     identity_chain_morphism,
+    inj1,
+    normalize,
     null_complex,
     pair,
     parse_element,
     proj1,
     proj2,
     run_law,
+    scaling,
     zero_chain_morphism,
     zero_homotopy,
     zero_map,
 )
+from effhom.cone import _lower
 from effhom.reduction import HomotopyOperator, Reduction
 from effhom.instances import (
+    _parity_map,
     alpha_pi1,
     cc1,
     cc2_to_null,
@@ -85,6 +95,33 @@ class TestCone:
     def test_nilpotency_given_commuting_morphism(self):
         assert check_chain_morphism(alpha_pi1(), WINDOW, SAMPLER).ok
         assert check_nilpotency(cone(alpha_pi1()), WINDOW, SAMPLER).ok
+
+    def test_lower_block_is_the_pair_of_its_rows(self):
+        # one grid when every block has one; the pair of the rows when b checks
+        # its own images; each is (x, y) -> (a x, b x + c y)
+        a, c = _parity_map(1), scaling(Z, 3)
+        def coefficient_sum(e):
+            return normalize([(sum(v for _, v in e.terms), 0)], Z)
+
+        total = ModMorphism(COUNTABLE, Z, coefficient_sum)
+        weights = from_generator_images(COUNTABLE, Z, lambda k: Comb(((0, k + 1),)))
+        domain = DirectSum(COUNTABLE, Z)
+        p1, p2 = proj1(domain), proj2(domain)
+        for b in (total, weights):
+            m = _lower(a, b, c)
+            assert (m._grid is None) == (b is weights) and m._period is None
+            expected = pair(a * p1, b * p1 + c * p2)
+            for x in WIDE.elements(domain, "lower"):
+                assert m(x) == expected(x)
+        assert _lower(a, zero_map(COUNTABLE, Z), c)._period == 2
+
+    @pytest.mark.parametrize("b", [
+        zero_map(COUNTABLE, COUNTABLE), zero_map(Z, Z), from_generator_images(Z, Z, generator)
+    ])
+    def test_lower_refuses_a_block_of_another_shape(self, b):
+        # b must run from a's source, Z, to c's target, Z[N]
+        with pytest.raises(ShapeMismatchError, match="is not Z -> Z\\[N\\]"):
+            _lower(identity(Z), b, identity(COUNTABLE))
 
     def test_one_complex_per_morphism(self):
         # a homotopy is checked only on the complex it acts on, so every
@@ -199,6 +236,50 @@ class TestConeReduction:
         assert check_chain_morphism(alpha, WINDOW, sampler).ok
         report = check_reduction_laws(cone_reduction(r, r, alpha), WINDOW, sampler)
         assert report.ok, report.to_text()
+
+    @pytest.mark.parametrize("sampler", [SAMPLER, WIDE], ids=["default", "wide"])
+    def test_laws_with_nonzero_cross_terms_of_period_maps(self, sampler, monkeypatch):
+        # The same three cross terms, built only from parity maps and scalings:
+        # every law has period 2, so each is decided on x0, x1 of each Z[N] leaf
+        # and draws nothing, and a wrong sign on a cross term fails that decision.
+        # C(t) is Z[N] with d(i) = k(i) = the parity map of i + t, k contracting
+        # it, and r(t) reduces C(t) (+) C(t) onto C(t) with h = 0 (+) k.
+        def reduction(t):
+            c = ChainComplex(lambda i: COUNTABLE, lambda i: _parity_map(i + t))
+            top = direct_sum_complex(c, c)
+            zero = zero_map(COUNTABLE, COUNTABLE)
+            return Reduction(
+                top, c,
+                ChainMorphism(top, c, lambda i: proj1(top.module_at(i))),
+                ChainMorphism(c, top, lambda i: inj1(top.module_at(i))),
+                HomotopyOperator(top, lambda i: direct_sum_map(zero, _parity_map(i + t))),
+            )
+
+        r0, r1 = reduction(0), reduction(1)
+
+        def alpha_at(i):
+            # each block n * P(i + 1): f2.alpha.h1 = 3 P(i), h2.alpha.g1 = 5 P(i + 1)
+            # and h2.alpha.h1 = -7 P(i) on the Z[N] leaves they join
+            def block(n):
+                return scaling(COUNTABLE, n) * _parity_map(i + 1)
+
+            p1, p2 = proj1(r0.top.module_at(i)), proj2(r0.top.module_at(i))
+            return pair(block(2) * p1 + block(3) * p2, block(5) * p1 + block(-7) * p2)
+
+        alpha = ChainMorphism(r0.top, r1.top, alpha_at)
+        r = cone_reduction(r0, r1, alpha)
+        for i in WINDOW:
+            assert r.f.at(i)._period == r.g.at(i)._period == r.h.at(i)._period == 2
+        drawn, elements = [], Sampler.elements
+
+        def counted(self, desc, label):
+            drawn.append(label)
+            return elements(self, desc, label)
+
+        monkeypatch.setattr(Sampler, "elements", counted)
+        assert check_chain_morphism(alpha, WINDOW, sampler).ok
+        report = check_reduction_laws(r, WINDOW, sampler)
+        assert report.ok and drawn == [], report.to_text()
 
     def test_trivial_inputs(self):
         null = null_complex()

@@ -1,7 +1,10 @@
 """The shipped catalog: every instance behaves as documented."""
 
-from hypothesis import example, given
+from functools import cache
+
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from test_morphisms import WIDE, shifted
 
 from effhom import (
     COUNTABLE,
@@ -289,3 +292,33 @@ class TestCatalogWiring:
         assert cc1() is cc1()
         assert cone_example() is cone_example()
         assert resolve_complex("cone-example") is cone_example().reduction.top
+
+
+@cache
+def catalog_maps():
+    """Every component the catalog builds on the window, by name."""
+    eh = {i: e.load() for i, e in CATALOG.items() if e.kind == "effective-homology"}
+    complexes = {i: resolve_complex(i) for i in CATALOG}
+    complexes.update({f"{i}.bottom": e.reduction.bottom for i, e in eh.items()})
+    families = {f"{i}.d": cc.diff_at for i, cc in complexes.items()}
+    for i, e in eh.items():
+        r = e.reduction
+        families.update({f"{i}.f": r.f.at, f"{i}.g": r.g.at, f"{i}.h": r.h.at})
+    families.update({name: load().at for name, (_, load, _) in HOMOTOPIES.items()})
+    families["alpha_pi1"] = alpha_pi1().at
+    return [(f"{name}({i})", at(i)) for name, at in families.items() for i in WINDOW]
+
+
+@seed(25)
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_catalog_map_commutes_with_its_shift(sampler_seed):
+    """M S = S M for the shift S of each catalog map's period: a law of two
+    of them is decided on one period of each countable leaf."""
+    for bounds in ({}, WIDE):
+        sampler = Sampler(seed=sampler_seed, samples=2, **bounds)
+        for name, m in catalog_maps():
+            p = m._period
+            assert p is not None, name
+            for x in sampler.elements(m.source, name):
+                assert m(shifted(x, m.source, p)) == shifted(m(x), m.target, p), name

@@ -30,6 +30,7 @@ from effhom import (
     LawSection,
     MembershipError,
     ModMorphism,
+    Pair,
     Reduction,
     Sampler,
     ShapeMismatchError,
@@ -265,6 +266,7 @@ def mixed_verdicts_report():
 REPORTS = {
     "empty": lambda: LawReport(()),
     "passing": lambda: check_homotopy_squares_to_zero(cc2(), hcc2(), WINDOW, SAMPLER),
+    "one-degree": lambda: check_nilpotency(cc2(), [3], SAMPLER),
     "failing-h1": GOLDEN["contracting"][0],
     "merged-chain-morphism": lambda: check_chain_morphism(
         zxznat().reduction.f, WINDOW, SAMPLER, law="f:fd=df"
@@ -320,12 +322,12 @@ class TestRunLaw:
             run_law("x", [], SAMPLER, lambda i: (identity(Z), identity(Z)))
 
     def test_window_with_gaps_is_refused(self):
-        # its report would read degrees=1..5, and a replay would check 2..4 too
+        # its report would read degrees=1..5, and a replay would check 2 and 4 too
         def sides(i):
             return identity(Z), identity(Z)
 
         with pytest.raises(ValueError, match="1..5 has gaps"):
-            run_law("x", [1, 5], SAMPLER, sides)
+            run_law("x", [1, 3, 5], SAMPLER, sides)
         out = run_law("x", [1, 0, 1], SAMPLER, sides)
         assert (out.lo, out.hi) == (0, 1)
 
@@ -512,15 +514,34 @@ class TestDraws:
         assert self.draws(monkeypatch, Sampler()) == []
 
     def test_span_at_least_samples_draws_once_per_law_and_degree(self, monkeypatch):
-        # the top spans 1 + 33 + 1; the laws on the bottom, fg=id and hg=0, draw nothing
-        labels = self.draws(monkeypatch, Sampler(max_generator=32))
-        top = ("dh+hd+gf=id", "fh=0", "hh=0")
+        # the top is Z (+) Z[N] (+) Z: the sides of dh+hd+gf=id and hh=0 have
+        # period 2, so it spans 1 + 2 + 1, as many as the samples, and they draw;
+        # fh=0 folds to a zero map of period 1, spanning 3, and the bottom
+        # Z (+) Z of fg=id and hg=0 spans 2, so those draw nothing
+        labels = self.draws(monkeypatch, Sampler(samples=4))
+        top = ("dh+hd+gf=id", "hh=0")
         assert sorted(labels) == sorted(f"{law}@{i}" for law in top for i in DEFAULT_DEGREES)
+
+    def test_period_span_draws_nothing_on_the_cone_top(self, monkeypatch):
+        # one period of Z[N] is x0, x1 however many generators a sample draws from
+        assert self.draws(monkeypatch, Sampler(max_generator=1000)) == []
+
+    def test_period_less_part_takes_the_full_span(self):
+        # scaling has period 1, but a composite with a generator-image map has
+        # none: x10, past one period, is applied, and its image raises every time
+        bad = from_generator_images(
+            COUNTABLE, COUNTABLE, lambda g: Pair(Z.zero(), Z.zero()) if g == 10 else generator(g)
+        )
+        lhs, rhs = scaling(COUNTABLE, 3) * bad, scaling(COUNTABLE, 3)
+        assert lhs._period is None and rhs._period == 1
+        for _ in range(3):
+            with pytest.raises(MembershipError, match="^image of x10 is"):
+                run_law("bad", [0], Sampler(), lambda i: (lhs, rhs))
 
     @pytest.mark.parametrize("max_generator, drawn", [(16, ["id@0"]), (15, [])])
     def test_span_equal_to_samples_draws(self, monkeypatch, max_generator, drawn):
-        # Z[N] spans x0 .. x{max_generator}: 17 elements for 17 samples draw
-        # them, and 16 decide the law on the span
+        # a caller's map has no period, so Z[N] spans x0 .. x{max_generator}:
+        # 17 elements for 17 samples draw them, and 16 decide the law on the span
         labels = []
         elements = Sampler.elements
 
@@ -530,7 +551,8 @@ class TestDraws:
 
         monkeypatch.setattr(Sampler, "elements", counted)
         sampler = Sampler(samples=17, max_generator=max_generator)
-        out = run_law("id", [0], sampler, lambda i: (identity(COUNTABLE), identity(COUNTABLE)))
+        same = ModMorphism(COUNTABLE, COUNTABLE, lambda e: e)
+        out = run_law("id", [0], sampler, lambda i: (same, identity(COUNTABLE)))
         assert labels == drawn and out.violations == 0
 
 

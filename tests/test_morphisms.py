@@ -33,6 +33,7 @@ from effhom import (
 from effhom import instances
 from effhom.instances import cc2, h_top
 from effhom.modules import basis, join, leaves, split
+from effhom.morphisms import _periodic
 
 E = Comb(((0, 8), (4, 7)))
 
@@ -476,14 +477,23 @@ def mixing(source, target):
     return act
 
 
+def shifted(e, desc, p):
+    """S e for the shift S of period ``p``: x_n -> x_{n+p} on each countable leaf."""
+    return join(desc, iter([
+        part if leaf.is_finite_type() else Comb(tuple((g + p, c) for g, c in part.terms))
+        for leaf, part in split(e, desc)
+    ]))
+
+
 def leaf_trees(draw, source, target, closures):
     """A leaf; with ``closures`` also the maps that composites keep as closures:
     generator images, which check themselves, and a caller's map on a sum.
-    A zero folds a whole product away, so it is drawn one time in six."""
+    A zero folds a whole product away, so it is drawn one time in six.
+    "even" is a caller's map; "parity" is the same map declared with period 2."""
     kinds = []
     if not isinstance(source, DirectSum) and not isinstance(target, DirectSum):
         if source == target:
-            kinds += ["scaling", "even"]
+            kinds += ["scaling", "even", "parity"]
         kinds.append("mixing")
         if closures:
             kinds += ["images", "bad images"]
@@ -557,6 +567,8 @@ def build(tree):
         return scaling(source, parts[0])
     if op == "even":
         return ModMorphism(source, source, even_part)
+    if op == "parity":
+        return _periodic(ModMorphism(source, source, even_part), 2)
     maps = [build(p) for p in parts]
     if op == "-":
         return -maps[0]
@@ -584,7 +596,7 @@ def interpret(tree, x):
         return mixing(source, target)(x)
     if op == "scaling":
         return parts[0] * x
-    if op == "even":
+    if op in ("even", "parity"):
         return even_part(x)
     if op in ("images", "bad images"):
         images, out = images_into(target, op == "bad images"), Comb(())
@@ -624,6 +636,18 @@ def interpreted(tree, x):
         return MembershipError
 
 
+def with_periods(tree):
+    """``tree`` with a period on every leaf: a leaf without one becomes
+    "parity" where it maps a leaf to itself, and "zero" elsewhere."""
+    op, source, target, *parts = tree
+    if op in ("zero", "identity", "scaling", "parity"):
+        return tree
+    if op in ("mixing", "even", "images", "bad images"):
+        same = source == target and not isinstance(source, DirectSum)
+        return ("parity" if same else "zero", source, target, None)
+    return (op, source, target, *map(with_periods, parts))
+
+
 @seed(1004)
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(0, 2**32))
@@ -635,5 +659,40 @@ def test_grids_match_an_interpreter_of_the_definitions(data, sampler_seed):
     elements = basis(source, sizes)
     for bounds in ({}, WIDE):
         elements += Sampler(seed=sampler_seed, samples=1, **bounds).elements(source, "grid")
+    periodic_tree = with_periods(tree)
+    periodic = build(periodic_tree)
     for x in elements:
         assert outcome(m, x) == interpreted(tree, x)
+        assert outcome(periodic, x) == interpreted(periodic_tree, x)
+    # a tree with a period on every leaf has period 1 or 2, and every period
+    # is true, M S = S M; a fold may also give the first tree one
+    assert periodic._period in (1, 2)
+    for f in (m, periodic):
+        if (period := f._period) is not None:
+            for x in elements:
+                assert f(shifted(x, source, period)) == shifted(f(x), target, period)
+
+
+def test_periods_combine_by_lcm():
+    # a caller's map has no period, unless declared (three); the catalog's
+    # parity map has 2
+    mine = ModMorphism(COUNTABLE, COUNTABLE, lambda e: e)
+    three = _periodic(ModMorphism(COUNTABLE, COUNTABLE, lambda e: e), 3)
+    two = instances._parity_map(0)
+    both = DirectSum(COUNTABLE, COUNTABLE)
+    bad = from_generator_images(COUNTABLE, COUNTABLE, generator)
+    periods = [
+        (identity(both), 1), (zero_map(Z, COUNTABLE), 1), (scaling(COUNTABLE, 5), 1),
+        (two * three, 6), (two + three, 6), (two - two, 2), (-three, 3),
+        (pair(two, three), 6), (direct_sum_map(two, three), 6),
+        (proj1(both) * direct_sum_map(two, three), 2), (inj2(both) * three, 3),
+        (zero_map(COUNTABLE, COUNTABLE) * mine, 1), (mine, None), (two * mine, None),
+        (scaling(COUNTABLE, 2) * bad, None), (pair(two, bad), None),
+        (direct_sum_map(mine, two), None),
+    ]
+    sampler = Sampler(seed=3, samples=8, **WIDE)
+    for m, period in periods:
+        assert m._period == period, (m, period)
+        if period is not None:
+            for x in sampler.elements(m.source, "lcm"):
+                assert m(shifted(x, m.source, period)) == shifted(m(x), m.target, period)
