@@ -3,7 +3,7 @@
 For a chain morphism ``alpha: CC -> CC'`` the cone has degree-``i`` module
 ``M(i) (+) M'(i+1)``.  Its differential and the three maps of its reduction
 are each one lower-triangular block (x, y) -> (a x, b x + c y), written
-[[a, 0], [b, c]] and built by ``_lower(a, b, c)``:
+[[a, 0], [b, c]] and built by ``effhom.morphisms._lower(a, b, c)``:
 
     d''(i) = [[-d(i), 0], [alpha(i+1), d'(i+1)]]
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 from .complexes import ChainComplex, ChainMorphism, identity_chain_morphism
 from .errors import ShapeMismatchError
 from .modules import DirectSum
-from .morphisms import ModMorphism, _from_grid, _grid_of, pair, proj1, proj2, zero_map
+from .morphisms import _lower, pair, proj2, zero_map
 from .reduction import (
     EffectiveHomology,
     HomotopyOperator,
@@ -42,28 +42,6 @@ from .reduction import (
     perturb_homotopy,
     zero_homotopy,
 )
-
-
-def _lower(a: ModMorphism, b: ModMorphism, c: ModMorphism) -> ModMorphism:
-    """The block map (x, y) -> (a x, b x + c y) out of ``a.source (+) c.source``.
-
-    It is the grid [[a, 0], [b, c]] of ``effhom.morphisms``, written as one map
-    when a, b and c have grids, so a law's composite of such maps multiplies
-    its blocks once, when built; a zero block is no entry.
-    """
-    if b.source != a.source or b.target != c.target:
-        raise ShapeMismatchError(
-            f"block {b.source} -> {b.target} is not {a.source} -> {c.target}"
-        )
-    domain = DirectSum(a.source, c.source)
-    grids = [_grid_of(m) for m in (a, b, c)]
-    if None in grids:  # a block checks its own images, or is a caller's map on a sum
-        p1, p2 = proj1(domain), proj2(domain)
-        return pair(a * p1, b * p1 + c * p2)
-    top, bottom, right = grids
-    pad = (None,) * len(right[0])
-    grid = tuple(row + pad for row in top) + tuple(x + y for x, y in zip(bottom, right))
-    return _from_grid(domain, DirectSum(a.target, c.target), grid)
 
 
 def cone(alpha: ChainMorphism) -> ChainComplex:

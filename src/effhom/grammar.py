@@ -87,8 +87,11 @@ class _Parser:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if m is None:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
+                rest = text[pos:].strip()
+                if rest.startswith("x"):  # an x with no ASCII digit after it
+                    raise ParseError("a generator needs an ASCII index after 'x'")
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}")
                 break
             if m.group("nat") is not None:
                 tokens.append(("nat", int(m.group("nat"))))

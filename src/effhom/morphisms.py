@@ -43,10 +43,14 @@ A map built here with a direct sum at one end keeps its block matrix, a
 *grid*: a row per leaf of the target (see ``effhom.modules``), an entry per
 leaf of the source, each a map between the two leaves or None for zero.
 ``*``, ``+`` and ``-`` combine grids when built, folding entry by entry; a
-grid of Nones is a zero map.  The compiled action reads the source leaves,
-skips a zero one (M(0) = 0), sums each row and joins the rows.  A map that
-checks its own images has no grid, nor has a caller's map on a sum;
-composites with either keep closures.
+grid of Nones is a zero map.  ``_lower(a, b, c)`` builds the block map
+[[a, 0], [b, c]] (b None: the zero block) for ``direct_sum_map`` and
+``effhom.cone``.  A grid's action is compiled on its first call, as most
+grids built are never applied, and keeps what it compiled in its own
+closure: the map never refers to itself, so ``del`` frees it.  It reads the
+source leaves, skips a zero one (M(0) = 0), sums each row and joins the
+rows.  A map that checks its own images has no grid, nor has a caller's map
+on a sum; composites with either, ``_lower``'s too, keep closures.
 
 Every morphism is linear: M(sum of c*x) = sum of c*M(x) for integers c
 and elements x.  The constructors here build linear maps from linear
@@ -59,11 +63,11 @@ that sends x_n to x_{n+p} on every countable leaf and fixes every finite
 leaf, so its images of x0 .. x{p-1} fix those of every x_n.  ``identity``,
 ``zero_map`` and ``scaling`` have period 1, and a library map may be
 declared with one by ``_periodic``.  ``*``, ``+``, ``-``, ``pair``,
-``direct_sum_map`` and a grid have the lcm of their parts' periods, since
-that shift commutes with every part.  A ``from_generator_images`` map, a
-caller's ``ModMorphism`` and any composite with either as a part have
-none.  The law engine decides an equation of two maps with periods on one
-period of each countable leaf.
+``direct_sum_map``, ``_lower`` and a grid have the lcm of their parts'
+periods, since that shift commutes with every part.  A
+``from_generator_images`` map, a caller's ``ModMorphism`` and any composite
+with either as a part have none.  The law engine decides an equation of two
+maps with periods on one period of each countable leaf.
 
 Equality of morphisms is deliberately not provided: over an infinite
 generator family it is undecidable, so the law checkers compare morphisms
@@ -72,7 +76,6 @@ pointwise on sampled elements instead.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -229,34 +232,28 @@ def _from_grid(source: FreeModule, target: FreeModule, grid: tuple) -> ModMorphi
     elif not isinstance(source, DirectSum) and not isinstance(target, DirectSum):
         return grid[0][0]
     else:
-        # The first call compiles the action onto the map, held weakly: a strong
-        # reference makes each unapplied map a cycle only the collector frees.
-        m, act = ModMorphism(source, target, None), None
-        owner = weakref.ref(m)
-
-        def compile_once(e):
-            nonlocal act
-            if act is None:
-                act = _compiled(source, target, grid)
-                if (m := owner()) is not None:
-                    object.__setattr__(m, "action", act)
-            return act(e)
-
-        object.__setattr__(m, "action", compile_once)
+        m = ModMorphism(source, target, _compiled(source, target, grid))
         _composite(m, *[x for row in grid for x in row if x])
     object.__setattr__(m, "_grid", grid)
     return m
 
 
 def _compiled(source: FreeModule, target: FreeModule, grid: tuple):
-    """A grid's action: each row sums its entries' images of the nonzero leaves."""
-    read = attrgetter(*_paths(source)) if isinstance(source, DirectSum) else lambda e: (e,)
-    rows = [
-        (leaf.zero(), [(j, x.action) for j, x in enumerate(row) if x])
-        for leaf, row in zip(leaves(target), grid)
-    ]
+    """A grid's action: each row sums its entries' images of the nonzero leaves.
+
+    Its reader and rows are made on its first call.
+    """
+    read = rows = None
 
     def act(e):
+        nonlocal read, rows
+        if rows is None:
+            paths = _paths(source)
+            read = attrgetter(*paths) if isinstance(source, DirectSum) else lambda e: (e,)
+            rows = [
+                (leaf.zero(), [(j, x.action) for j, x in enumerate(row) if x])
+                for leaf, row in zip(leaves(target), grid)
+            ]
         parts, images = read(e), []
         for image, row in rows:
             for j, f in row:
@@ -377,17 +374,35 @@ def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
 
 def direct_sum_map(f: ModMorphism, g: ModMorphism) -> ModMorphism:
     """Componentwise action on a direct sum: ``(a, b) -> (f(a), g(b))``."""
-    source = DirectSum(f.source, g.source)
-    target = DirectSum(f.target, g.target)
-    a, b = _grid_of(f), _grid_of(g)
-    if a and b:
-        left, right = (None,) * len(a[0]), (None,) * len(b[0])
-        grid = tuple(row + right for row in a) + tuple(left + row for row in b)
+    return _lower(f, None, g)
+
+
+def _lower(a: ModMorphism, b: ModMorphism | None, c: ModMorphism) -> ModMorphism:
+    """The block map (x, y) -> (a x, b x + c y) out of ``a.source (+) c.source``.
+
+    It is the grid [[a, 0], [b, c]], None for ``b`` being the zero block, so a
+    law's composite of such maps multiplies its blocks once, when built; it is
+    one closure when a block has no grid.
+    """
+    if b is not None and (b.source != a.source or b.target != c.target):
+        raise ShapeMismatchError(
+            f"block {b.source} -> {b.target} is not {a.source} -> {c.target}"
+        )
+    source, target = DirectSum(a.source, c.source), DirectSum(a.target, c.target)
+    blocks = (a, c) if b is None else (a, b, c)
+    if grids := _grids(blocks, source):
+        top, right = grids[0], grids[-1]
+        bottom = grids[1] if b is not None else [(None,) * len(top[0])] * len(right)
+        pad = (None,) * len(right[0])
+        grid = tuple(row + pad for row in top) + tuple(x + y for x, y in zip(bottom, right))
         return _from_grid(source, target, grid)
-    fa, ga = f.action, g.action
-    return _composite(
-        ModMorphism(source, target, lambda e: Pair(fa(e.left), ga(e.right))), f, g
-    )
+    fa, fc = a.action, c.action
+    if b is None:
+        act = lambda e: Pair(fa(e.left), fc(e.right))
+    else:
+        fb = b.action
+        act = lambda e: Pair(fa(e.left), fb(e.left) + fc(e.right))
+    return _composite(ModMorphism(source, target, act), *blocks)
 
 
 def _eye_of_sum(desc: FreeModule) -> tuple[tuple, int]:

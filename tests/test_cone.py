@@ -41,6 +41,7 @@ from effhom import (
     direct_sum_map,
     from_generator_images,
     generator,
+    homology_window,
     identity,
     identity_chain_morphism,
     inj1,
@@ -56,7 +57,7 @@ from effhom import (
     zero_homotopy,
     zero_map,
 )
-from effhom.cone import _lower
+from effhom.morphisms import _lower
 from effhom.reduction import HomotopyOperator, Reduction
 from effhom.instances import (
     _parity_map,
@@ -298,6 +299,24 @@ class TestConeEffectiveHomology:
     def test_example_instance(self):
         eh = cone_example()
         assert check_reduction_laws(eh.reduction, WINDOW, SAMPLER).ok
+
+    @pytest.mark.parametrize("n, group", [(2, "Z/2"), (3, "0"), (4, "Z/2"), (6, "Z/2")])
+    def test_cone_of_a_multiple_meets_kunneth(self, n, group):
+        # The cone of n on C = sum12 is C (x) (Z -n-> Z), up to a shift. H(C) is
+        # Z/2 in even degrees and 0 in odd ones, so Kunneth, H(C) (x) Z/n in one
+        # degree and Tor(H(C), Z/n) in the next, gives Z/2 in every degree for
+        # an even n and 0 for an odd one.  n on a sum has no grid, so each block
+        # of the reduction is a closure.  Its cross terms vanish, as n commutes
+        # with zxznat's h; test_lower_block_is_the_pair_of_its_rows pins them.
+        top, window = sum12(), range(-6, 7)
+        alpha = ChainMorphism(top, top, lambda i: scaling(top.module_at(i), n))
+        r = cone_effective_homology(zxznat(), zxznat(), alpha).reduction
+        assert r.f.at(0)._grid is None and r.h.at(0)._grid is None
+        assert [str(g) for g in homology_window(r.bottom, window)] == [group] * len(window)
+        for sampler in (Sampler(), WIDE):
+            report = check_reduction_laws(r, window, sampler)
+            assert report.ok, report.to_text()
+            assert check_nilpotency(r.top, window, sampler).ok
 
     def test_bottom_grading_is_pair_of_rank_one(self):
         eh = cone_example()

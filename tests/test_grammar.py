@@ -18,6 +18,7 @@ from effhom import (
     generator,
     parse_element,
 )
+from effhom.cli import main
 from effhom.sampling import Sampler
 
 CONE_SHAPE = DirectSum(DirectSum(Z, COUNTABLE), Z)
@@ -105,6 +106,11 @@ PARSE_MESSAGES = [
     ("x1+3x2", "a combination term needs an 'x' generator"),
     ("3*4", "expected a generator after '*'"),
     ("x1+)", "expected a term after '+'/'-'"),
+    ("y", "unexpected character 'y'"),
+] + [
+    # the tokenizer reads "x" and ASCII digits as one generator token
+    (bad, "a generator needs an ASCII index after 'x'")
+    for bad in ("x", "xa", "2*x", "x0+x", "x\u0661", "(x1, x)")
 ]
 
 
@@ -113,6 +119,12 @@ def test_syntax_error_messages(bad, message):
     with pytest.raises(ParseError) as exc:
         parse_element(bad, COUNTABLE)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", ["x", "xa", "2*x", "x0+x", "x\u0661"])
+def test_generator_without_index_exits_2(bad, capsys):
+    assert main(["eval", "cc2", "diff", "0", bad]) == 2
+    assert capsys.readouterr().err == "error: a generator needs an ASCII index after 'x'\n"
 
 
 def random_desc(rng, depth=0):

@@ -1,6 +1,8 @@
 """Morphism construction and the pointwise algebra laws."""
 
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, seed, settings
@@ -33,7 +35,7 @@ from effhom import (
 from effhom import instances
 from effhom.instances import cc2, h_top
 from effhom.modules import basis, join, leaves, split
-from effhom.morphisms import _periodic
+from effhom.morphisms import _lower, _periodic
 
 E = Comb(((0, 8), (4, 7)))
 
@@ -94,8 +96,11 @@ ZZ = DirectSum(Z, Z)
         proj1(ZZ) * direct_sum_map(BAD, identity(Z)),
         zero_map(ZZ, Z) * direct_sum_map(BAD, identity(Z)),
         -direct_sum_map(BAD, identity(Z)),
+        _lower(identity(Z), BAD, identity(Z)),
     ],
-    ids=["g*f", "f*g", "f+g", "pair", "direct_sum_map", "proj1*sum", "z*sum", "-sum"],
+    ids=[
+        "g*f", "f*g", "f+g", "pair", "direct_sum_map", "proj1*sum", "z*sum", "-sum", "lower"
+    ],
 )
 def test_bad_image_inside_composite_raises_at_application(composite):
     x = generator(0)
@@ -270,6 +275,23 @@ class TestSumShuffling:
     def test_pair_requires_common_source(self):
         with pytest.raises(ShapeMismatchError):
             pair(identity(Z), identity(COUNTABLE))
+
+    @pytest.mark.parametrize("applied", [False, True], ids=["unapplied", "applied"])
+    def test_grid_map_is_freed_without_the_collector(self, applied):
+        # a grid map that referred to itself, as a compiled action kept on the
+        # map would, is a cycle that only the collector frees: most grid maps
+        # are dropped unapplied, and each would wait for a collection
+        m = direct_sum_map(scaling(Z, 2), identity(COUNTABLE))
+        assert m._grid is not None
+        gc.disable()
+        try:
+            if applied:
+                assert m(Pair(generator(0), E)) == Pair(2 * generator(0), E)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 combs = st.lists(
