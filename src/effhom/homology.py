@@ -9,7 +9,8 @@ share their torsion and no basis of the kernel is ever needed.
 
 A differential is kept sparse from the generator images to the invariant
 factors: ``differential_columns`` reads one ``{row: entry}`` column per
-basis element from the terms of its validated image, the columns go to the
+basis element from the terms of its validated image (read directly from
+a ``from_generator_images`` map's generator images), the columns go to the
 elimination as rows (a matrix and its transpose share their invariant
 factors), and d(i-1) d(i) = 0 is checked exactly, column by column, as a
 sum of columns of d(i-1).  So the work follows the nonzero entries, not
@@ -20,8 +21,9 @@ The invariant factors of d(i) are kept on the complex (``_factors``), so
 factor each differential once per complex, across calls.  The columns are
 not kept: each call builds them again from the validated images, once per
 differential however many degrees of the window use it.  So every call
-applies the differentials and checks d(i-1) d(i) = 0 exactly, as the first
-did, and a complex holds O(rank) per degree rather than O(nonzeros).
+reads or applies the differentials and checks d(i-1) d(i) = 0 exactly, as
+the first did, and a complex holds O(rank) per degree rather than
+O(nonzeros).
 
 For a complex that reduces onto a finite-type bottom, the homology of the
 top *is* the homology of the bottom: that transfer is the whole point of
@@ -101,7 +103,10 @@ def differential_columns(cc: ChainComplex, i: int) -> tuple[int, list[dict[int, 
 
     Column j maps row to entry for the image of the j-th basis element of
     degree i + 1, read from the terms of each leaf of the image at that
-    leaf's offset in the target; zero entries are absent.
+    leaf's offset in the target; zero entries are absent.  A
+    ``from_generator_images`` map is read directly: column j is the image
+    of x_j, checked against the target as an application checks it.  Any
+    other map is applied to each basis element.  Nothing is kept.
 
     >>> from effhom.instances import fcc1
     >>> differential_columns(fcc1(), 0)
@@ -116,6 +121,8 @@ def differential_columns(cc: ChainComplex, i: int) -> tuple[int, list[dict[int, 
         offsets.append(rows)
         rows += _rank(leaf)
     d = cc.diff_at(i)
+    if (read := d._images) is not None:  # leaf to leaf: column g is the image of x_g
+        return rows, [dict(target.require(read(g)).terms) for g in range(_rank(d.source))]
     columns = []
     for b in enumerate_basis(cc.module_at(i + 1)):
         column: dict[int, int] = {}

@@ -101,6 +101,9 @@ class ModMorphism:
     #: The p with M S = S M for the shift S of ``_periodic``, set only by the
     #: library's constructors; a caller's morphism has none.
     _period: ClassVar[int | None] = None
+    #: ``from_generator_images``'s read g -> image of x_g, checked to be a
+    #: combination: column g of the map.  No other map has one.
+    _images: ClassVar[Callable[[int], Comb] | None] = None
 
     def __call__(self, element: Element) -> Element:
         self.source.require(element)
@@ -318,26 +321,35 @@ def from_generator_images(
     Traceback (most recent call last):
         ...
     effhom.errors.MembershipError: x3 is not a member of Z
+
+    The image of x_g is column g of the map: ``_images`` keeps the read of
+    one image, checked to be a combination, for ``effhom.homology`` to read
+    a finite differential's columns without applying the map.
     """
     if isinstance(source, DirectSum):
         raise ShapeMismatchError("generator images need a combination-shaped source")
     if isinstance(target, DirectSum):
         raise ShapeMismatchError("generator images need a combination-shaped target")
 
+    def read(g: int) -> Comb:
+        image = images(g)
+        if not isinstance(image, Comb):
+            raise MembershipError(f"image of x{g} is {image!r}, not a combination")
+        return image
+
     def act(element: Element) -> Element:
         assert isinstance(element, Comb)
         acc: dict[int, int] = {}
         for g, c in element.terms:
-            image = images(g)
-            if not isinstance(image, Comb):
-                raise MembershipError(f"image of x{g} is {image!r}, not a combination")
-            for h, v in image.terms:
+            for h, v in read(g).terms:
                 acc[h] = acc.get(h, 0) + c * v
         return target.require(
             Comb._canonical(tuple((h, acc[h]) for h in sorted(acc) if acc[h]))
         )
 
-    return _tagged(ModMorphism(source, target, act), _CHECKS)
+    m = _tagged(ModMorphism(source, target, act), _CHECKS)
+    object.__setattr__(m, "_images", read)
+    return m
 
 
 def proj1(desc: DirectSum) -> ModMorphism:

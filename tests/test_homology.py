@@ -15,11 +15,12 @@ Expected groups are frozen from hand kernel/image computations:
 """
 
 import random
+import re
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import effhom.homology
@@ -39,9 +40,12 @@ from effhom import (
     ModMorphism,
     NotFiniteTypeError,
     Pair,
+    differential_columns,
     differential_matrix,
     direct_sum_complex,
     enumerate_basis,
+    from_generator_images,
+    generator,
     homology_at,
     homology_via_effective_homology,
     homology_window,
@@ -595,3 +599,134 @@ class TestHomologyWindow:
         cc = finite_complex([1, 1, 1], [[[1]], [[1]]])
         with pytest.raises(HomAlgError, match="around degree 1"):
             homology_window(cc, [0, 1, 2])
+
+
+# -- the direct read of generator images ------------------------------------
+#
+# A ``from_generator_images`` differential between leaves has its columns in
+# hand: the image of x_j is column j.  ``differential_columns`` reads them
+# instead of applying the map to each basis element, and must agree with the
+# applied path of a caller's ``ModMorphism`` on the same matrices, bad images
+# included.
+
+
+def images_complex(ranks, matrices, log=None):
+    """``finite_complex(ranks, matrices)`` with ``from_generator_images`` maps.
+
+    The image of x_j under d(k) is column j of ``matrices[k]``; each image
+    read appends ``(k, j)`` to ``log`` when one is given.
+    """
+
+    def module(i):
+        return FiniteFree(ranks[i]) if 0 <= i < len(ranks) else ZERO
+
+    def diff(i):
+        source, target = module(i + 1), module(i)
+        if not 0 <= i < len(matrices):
+            return zero_map(source, target)
+        rows = matrices[i]
+
+        def image(j):
+            if log is not None:
+                log.append((i, j))
+            return Comb(tuple((r, row[j]) for r, row in enumerate(rows) if row[j]))
+
+        return from_generator_images(source, target, image)
+
+    return ChainComplex(module, diff, declared_finite_type=True)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def one_image_complex(image):
+    """Z in degrees 0 and 1, d(0) the generator-image map x_g -> ``image``."""
+
+    def module(i):
+        return Z if i in (0, 1) else ZERO
+
+    def diff(i):
+        if i == 0:
+            return from_generator_images(Z, Z, lambda g: image)
+        return zero_map(module(i + 1), module(i))
+
+    return ChainComplex(module, diff)
+
+
+class TestDirectRead:
+    @seed(7031)
+    @settings(max_examples=60, deadline=None)
+    @given(prescribed_complexes(), st.data())
+    def test_direct_read_matches_the_applied_path(self, complex_, data):
+        modules, matrices, _ = complex_
+        ranks = [size(m) for m in modules]
+        nonempty = [m for m in matrices if m and m[0]]
+        if nonempty and data.draw(st.booleans()):
+            m = data.draw(st.sampled_from(nonempty))
+            row = m[data.draw(st.integers(0, len(m) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] += data.draw(st.sampled_from((-1, 1, 3)))
+        read, applied = images_complex(ranks, matrices), finite_complex(ranks, matrices)
+        for i in range(-2, len(ranks) + 1):
+            assert differential_columns(read, i) == differential_columns(applied, i), i
+            assert differential_matrix(read, i) == differential_matrix(applied, i), i
+        window = range(-1, len(ranks) + 1)
+        expected = outcome(lambda: homology_window(applied, window))
+        assert outcome(lambda: homology_window(read, window)) == expected
+
+    @pytest.mark.parametrize("image", [Pair(Comb(()), Comb(())), 5, Comb(((3, 1),))])
+    def test_a_bad_image_raises_as_an_application_does(self, image):
+        cc = one_image_complex(image)
+        with pytest.raises(MembershipError) as applied:
+            cc.diff_at(0)(generator(0))
+        if isinstance(image, Comb):
+            assert str(applied.value) == "x3 is not a member of Z"
+        message = f"^{re.escape(str(applied.value))}$"
+        runs = [lambda: differential_columns(cc, 0), lambda: homology_at(cc, 0)] * 2
+        for run in runs + [lambda: homology_window(cc, [1, 0])]:
+            with pytest.raises(MembershipError, match=message):
+                run()
+            assert 0 not in cc._factors
+
+    @pytest.mark.parametrize("source, target", [(COUNTABLE, Z), (Z, COUNTABLE)])
+    def test_an_infinite_end_is_refused(self, source, target):
+        def module(i):
+            return (target, source)[i] if i in (0, 1) else ZERO
+
+        def diff(i):
+            if i == 0:
+                return from_generator_images(source, target, lambda g: Comb(()))
+            return zero_map(module(i + 1), module(i))
+
+        cc = ChainComplex(module, diff)
+        with pytest.raises(NotFiniteTypeError, match="^Z\\[N\\] is not of finite type$"):
+            differential_columns(cc, 0)
+
+    def test_each_image_read_once_per_column_build_and_never_applied(self, monkeypatch):
+        ranks, matrices, expected = prescribed(
+            4, [0, 2, 3], [(0, 3), (1, 1), (2, 2), (0, 1)], random.Random(5), 30
+        )
+        log = []
+        cc = images_complex(ranks, matrices, log)
+        interior = {id(cc.diff_at(k)) for k in range(len(matrices))}
+        applied = []
+        call = ModMorphism.__call__
+
+        def recorded(m, e):
+            applied.append(id(m))
+            return call(m, e)
+
+        monkeypatch.setattr(ModMorphism, "__call__", recorded)
+        every = sorted((k, j) for k in range(len(matrices)) for j in range(ranks[k + 1]))
+        for _ in range(2):  # the columns are not kept, so each call reads again
+            log.clear()
+            window = range(-1, len(ranks) + 1)
+            assert homology_window(cc, window) == [TRIVIAL] + expected + [TRIVIAL]
+            assert sorted(log) == every
+        # the zero map d(-1) out of degree 0 is still applied; no interior map is
+        assert id(cc.diff_at(-1)) in applied and not interior & set(applied)
+
