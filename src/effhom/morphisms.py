@@ -43,10 +43,12 @@ A map built here with a direct sum at one end keeps its block matrix, a
 *grid*: a row per leaf of the target (see ``effhom.modules``), an entry per
 leaf of the source, each a map between the two leaves or None for zero.
 ``*``, ``+`` and ``-`` combine grids when built, folding entry by entry; a
-grid of Nones is a zero map.  ``_lower(a, b, c)`` builds the block map
-[[a, 0], [b, c]] (b None: the zero block) for ``direct_sum_map`` and
-``effhom.cone``.  A grid's action is compiled on its first call, as most
-grids built are never applied, and keeps what it compiled in its own
+grid of Nones is a zero map.  ``pair`` stacks two grids, and ``_lower``
+lays out the blocks of ``direct_sum_map`` and ``effhom.cone``.  An identity
+on a sum takes, on first use, the grid of ``direct_sum_map`` of its sides'
+identities; a projection pads its side's, an injection is a ``pair``, and
+nothing caches a grid.  A grid's action is compiled on its first call, as
+most grids built are never applied, and keeps what it compiled in its own
 closure: the map never refers to itself, so ``del`` frees it.  It reads the
 source leaves, skips a zero one (M(0) = 0), sums each row and joins the
 rows.  A map that checks its own images has no grid, nor has a caller's map
@@ -77,7 +79,6 @@ pointwise on sampled elements instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from operator import attrgetter
 from typing import Callable, ClassVar
@@ -213,7 +214,7 @@ def _grid_of(m: ModMorphism) -> tuple | None:
     if not isinstance(m.source, DirectSum) and not isinstance(m.target, DirectSum):
         return ((None if m._tag is _ZERO else m,),)
     if m._tag is _IDENTITY:  # an identity or a zero map on a sum: on first use
-        grid = _eye(m.source)
+        grid = _grid_of(direct_sum_map(identity(m.source.left), identity(m.source.right)))
     elif m._tag is _ZERO:
         grid = ((None,) * len(leaves(m.source)),) * len(leaves(m.target))
     else:
@@ -266,16 +267,6 @@ def _compiled(source: FreeModule, target: FreeModule, grid: tuple):
         return join(target, iter(images))
 
     return act
-
-
-@lru_cache(maxsize=256)
-def _eye(desc: FreeModule) -> tuple:
-    """The grid of the identity of ``desc``, made once per description."""
-    parts = leaves(desc)
-    return tuple(
-        tuple(identity(leaf) if j == i else None for j in range(len(parts)))
-        for i, leaf in enumerate(parts)
-    )
 
 
 def _paths(desc: FreeModule, path: str = "") -> list[str]:
@@ -353,23 +344,31 @@ def from_generator_images(
 
 
 def proj1(desc: DirectSum) -> ModMorphism:
-    eye, n = _eye_of_sum(desc)
-    return _from_grid(desc, desc.left, eye[:n])
+    left, right = _sides(desc)
+    pad = (None,) * len(leaves(right))
+    return _from_grid(desc, left, tuple(row + pad for row in _grid_of(identity(left))))
 
 
 def proj2(desc: DirectSum) -> ModMorphism:
-    eye, n = _eye_of_sum(desc)
-    return _from_grid(desc, desc.right, eye[n:])
+    left, right = _sides(desc)
+    pad = (None,) * len(leaves(left))
+    return _from_grid(desc, right, tuple(pad + row for row in _grid_of(identity(right))))
 
 
 def inj1(desc: DirectSum) -> ModMorphism:
-    eye, n = _eye_of_sum(desc)
-    return _from_grid(desc.left, desc, tuple(row[:n] for row in eye))
+    left, right = _sides(desc)
+    return pair(identity(left), zero_map(left, right))
 
 
 def inj2(desc: DirectSum) -> ModMorphism:
-    eye, n = _eye_of_sum(desc)
-    return _from_grid(desc.right, desc, tuple(row[n:] for row in eye))
+    left, right = _sides(desc)
+    return pair(zero_map(right, left), identity(right))
+
+
+def _sides(desc: FreeModule) -> tuple[FreeModule, FreeModule]:
+    if not isinstance(desc, DirectSum):
+        raise ShapeMismatchError(f"{desc} is not a direct sum")
+    return desc.left, desc.right
 
 
 def pair(f: ModMorphism, g: ModMorphism) -> ModMorphism:
@@ -415,10 +414,3 @@ def _lower(a: ModMorphism, b: ModMorphism | None, c: ModMorphism) -> ModMorphism
         fb = b.action
         act = lambda e: Pair(fa(e.left), fb(e.left) + fc(e.right))
     return _composite(ModMorphism(source, target, act), *blocks)
-
-
-def _eye_of_sum(desc: FreeModule) -> tuple[tuple, int]:
-    """The grid of the identity of a direct sum and its left leaf count."""
-    if not isinstance(desc, DirectSum):
-        raise ShapeMismatchError(f"{desc} is not a direct sum")
-    return _eye(desc), len(leaves(desc.left))

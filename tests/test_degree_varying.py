@@ -12,7 +12,9 @@ import re
 import pytest
 
 from effhom import (
+    Z,
     ChainComplex,
+    DirectSum,
     FiniteFree,
     NotACycleError,
     Reduction,
@@ -31,6 +33,7 @@ from effhom import (
     identity_chain_morphism,
     preimage,
     zero_homotopy,
+    zero_map,
 )
 
 WINDOW = range(-6, 7)
@@ -110,3 +113,15 @@ def test_preimage_of_sampled_boundaries_and_not_of_the_rest():
                     preimage(cc, k, i + 1, y)
                 refused += 1
     assert solved == 4 * len(WINDOW) and refused > len(WINDOW)
+
+
+def test_preimage_reads_the_zero_of_the_boundary_degree():
+    # every leaf's zero is the same empty combination, so only modules of
+    # different shapes tell the zero of degree i - 1 from its neighbours'
+    shapes = [Z, DirectSum(Z, Z), DirectSum(Z, DirectSum(Z, Z))]
+    cc = ChainComplex(
+        lambda i: shapes[i % 3], lambda i: zero_map(shapes[(i + 1) % 3], shapes[i % 3])
+    )
+    h = zero_homotopy(cc)
+    for i in WINDOW:
+        assert preimage(cc, h, i, cc.module_at(i).zero()) == cc.module_at(i + 1).zero()

@@ -1,6 +1,7 @@
 """Canonical elements and the module-level algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from effhom import (
     from_generator_images,
     generator,
     normalize,
+    scaling,
 )
 from effhom.instances import cc2
 from effhom.modules import join, leaves, split
@@ -157,6 +159,23 @@ class TestArithmetic:
             Comb(()) + 1
         with pytest.raises(TypeError):
             Pair(comb(), comb()) + 1
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            lambda: comb((0, 8)) * 1.5,
+            lambda: 2.5 * comb((0, 8)),
+            lambda: Fraction(1, 2) * comb((0, 8)),
+            lambda: Pair(comb((0, 8)), comb()) * 0.5,
+            lambda: scaling(COUNTABLE, 0.5)(comb((0, 8))),
+        ],
+        ids=["comb*float", "float*comb", "fraction*comb", "pair*float", "scaling"],
+    )
+    def test_scaling_by_a_non_integer_is_a_type_error(self, scale):
+        # coefficients are integers: no element is scaled by a float or a
+        # fraction, which would leave the module
+        with pytest.raises(TypeError):
+            scale()
 
     def test_canonical_constructor_guards(self):
         with pytest.raises(ValueError):

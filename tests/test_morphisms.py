@@ -35,7 +35,7 @@ from effhom import (
 from effhom import instances
 from effhom.instances import cc2, h_top
 from effhom.modules import basis, join, leaves, split
-from effhom.morphisms import _lower, _periodic
+from effhom.morphisms import _IDENTITY, _lower, _periodic
 
 E = Comb(((0, 8), (4, 7)))
 
@@ -718,3 +718,71 @@ def test_periods_combine_by_lcm():
         if period is not None:
             for x in sampler.elements(m.source, "lcm"):
                 assert m(shifted(x, m.source, period)) == shifted(m(x), m.target, period)
+
+
+# The identity, projection and injection grids of a direct sum, checked
+# against slices of `eye`, the diagonal of the leaf identities of the whole
+# sum, which states each layout apart from how the library builds it.
+NESTED_SUMS = [
+    DirectSum(DirectSum(Z, COUNTABLE), Z),
+    DirectSum(Z, DirectSum(COUNTABLE, Z)),
+    DirectSum(DirectSum(Z, Z), DirectSum(COUNTABLE, FiniteFree(2))),
+]
+
+
+def eye(desc):
+    """The leaf of each diagonal entry of the identity grid of ``desc``, None off it."""
+    parts = leaves(desc)
+    return [[leaf if j == i else None for j in range(len(parts))] for i, leaf in enumerate(parts)]
+
+
+def layout(m):
+    """The leaf of each entry of ``m``'s grid, None for a zero block; every
+    entry is the identity of its row's leaf and of its column's."""
+    rows, columns = leaves(m.target), leaves(m.source)
+    assert len(m._grid) == len(rows)
+    for row, r in zip(m._grid, rows):
+        assert len(row) == len(columns)
+        for x, c in zip(row, columns):
+            assert x is None or (x._tag is _IDENTITY and x.source == r == c and x._period == 1)
+    return [[x and x.source for x in row] for row in m._grid]
+
+
+@pytest.mark.parametrize("desc", NESTED_SUMS, ids=str)
+def test_sum_grids_keep_their_layout(desc):
+    # an identity on a sum lays out its grid on first use only, here in - and +
+    for combine in (lambda m: -m, lambda m: m + m):
+        one = identity(desc)
+        assert one._grid is None
+        combine(one)
+        assert layout(one) == eye(desc)
+    for d in [desc] + [side for side in (desc.left, desc.right) if isinstance(side, DirectSum)]:
+        whole, n = eye(d), len(leaves(d.left))
+        shuffles = [
+            (proj1, whole[:n]), (proj2, whole[n:]),
+            (inj1, [row[:n] for row in whole]), (inj2, [row[n:] for row in whole]),
+        ]
+        for shuffle, grid in shuffles:
+            m = shuffle(d)
+            assert m._period == 1 and layout(m) == grid, shuffle.__name__
+
+    one, left = ("identity", desc, desc, None), ("identity", desc.left, desc.left, None)
+    cases = [
+        (-identity(desc), ("-", desc, desc, one)),
+        (identity(desc) + identity(desc), ("+", desc, desc, one, one)),
+        (
+            pair(identity(desc), zero_map(desc, Z)),
+            ("pair", desc, DirectSum(desc, Z), one, ("zero", desc, Z, None)),
+        ),
+        (
+            proj1(desc) * inj1(desc),
+            ("proj1", desc.left, desc.left, ("inj1", desc.left, desc, left)),
+        ),
+    ]
+    for m, tree in cases:
+        sizes = [2] * len(leaves(m.source))
+        elements = basis(m.source, sizes)
+        for bounds in ({}, WIDE):
+            elements += Sampler(seed=29, samples=4, **bounds).elements(m.source, "sums")
+        for x in elements:
+            assert outcome(m, x) == interpreted(tree, x)
