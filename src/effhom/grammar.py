@@ -10,15 +10,20 @@ prints as ``(5, 7)``), coefficients ``1`` and ``-1`` are elided, terms are
 printed in ascending generator order, and nested pairs print flat:
 ``((a, b), c)`` renders as ``(a, b, c)``.
 
-Parsing is guided by the target module: the parser yields the text's
-leaves as one flat list, whatever its parenthesization, and they are
-matched in order against the module's leaves (``modules.leaves``), so flat
-and nested spellings are both accepted as long as the leaves line up.
+Parsing is guided by the target module: the text's tokens are read in one
+pass into its leaves, one flat list whatever its parenthesization, and they
+are matched in order against the module's leaves (``modules.leaves``), so flat
+and nested spellings are both accepted as long as the leaves line up.  One
+term reader reads every term of a combination; only the first may be a
+bare integer.  Integers have no size limit here: a conversion past the
+interpreter's int <-> str digit limit is done again with the limit lifted,
+and the limit is restored.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import MembershipError, ParseError
 from .modules import (
@@ -26,14 +31,22 @@ from .modules import (
 )
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>[0-9]+)|(?P<gen>x[0-9]+)|(?P<punct>[(),+*-]))")
+_END = "unexpected end of element text"
 
 
 def format_element(element: Element, desc: FreeModule) -> str:
-    """Canonical text of ``element`` as a member of ``desc``."""
+    """Canonical text of ``element`` as a member of ``desc``.
+
+    Integers of any size are written out; the ``repr`` of such an element
+    still follows the interpreter's digit limit.
+    """
     pieces = []
-    for leaf, part in split(element, desc):
-        leaf.require(part)
-        pieces.append(str(part.coefficient(0)) if leaf == Z else _comb_text(part.terms))
+    try:
+        for leaf, part in split(element, desc):
+            leaf.require(part)
+            pieces.append(str(part.coefficient(0)) if leaf == Z else _comb_text(part.terms))
+    except ValueError:  # an integer past the int <-> str digit limit
+        return _unlimited(format_element, element, desc)
     if len(pieces) == 1:
         return pieces[0]
     return "(" + ", ".join(pieces) + ")"
@@ -45,13 +58,26 @@ def parse_element(text: str, desc: FreeModule) -> Element:
     Raises ``ParseError`` for bad syntax and ``MembershipError`` when the
     shape or the generators do not fit the module.
     """
-    flat = _Parser(text).parse()
-    shape = leaves(desc)
-    if len(flat) != len(shape):
-        raise MembershipError(
-            f"element has {len(flat)} component(s) but {desc} expects {len(shape)}"
-        )
-    return join(desc, map(_leaf_value, shape, flat))
+    try:
+        flat = _leaf_nodes(text)
+        shape = leaves(desc)
+        if len(flat) != len(shape):
+            raise MembershipError(
+                f"element has {len(flat)} component(s) but {desc} expects {len(shape)}"
+            )
+        return join(desc, map(_leaf_value, shape, flat))
+    except ValueError:  # an integer past the int <-> str digit limit
+        return _unlimited(parse_element, text, desc)
+
+
+def _unlimited(convert, *args):
+    """``convert(*args)`` with the int <-> str digit limit lifted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _leaf_value(leaf: FreeModule, node) -> Comb:
@@ -67,113 +93,81 @@ def _leaf_value(leaf: FreeModule, node) -> Comb:
     return normalize(payload, leaf)
 
 
-class _Parser:
-    """Parser producing the flat list of leaf nodes.
+def _leaf_nodes(text: str) -> list:
+    """The leaf nodes of ``text`` in order, read in one pass.
 
     A leaf node is ``("comb", terms)`` with terms a list of
     ``(coefficient, generator)`` pairs, or ``("int", value)``; tuples only
-    group leaves and leave no node of their own.
+    group leaves and leave no node of their own.  A bad character is found
+    before bad syntax, as the whole text is tokenized first.
     """
+    tokens = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if rest.startswith("x"):  # an x with no ASCII digit after it
+                raise ParseError("a generator needs an ASCII index after 'x'")
+            raise ParseError(f"unexpected character {rest[0]!r}")
+        kind, token = m.lastgroup, m[m.lastgroup]
+        tokens.append((token, None) if kind == "punct" else (kind, int(token.lstrip("x"))))
+        pos = m.end()
+    tokens.append((None, None))  # the end of the text
 
-    def __init__(self, text):
-        self.text = text
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                rest = text[pos:].strip()
-                if rest.startswith("x"):  # an x with no ASCII digit after it
-                    raise ParseError("a generator needs an ASCII index after 'x'")
-                if rest:
-                    raise ParseError(f"unexpected character {rest[0]!r}")
-                break
-            if m.group("nat") is not None:
-                tokens.append(("nat", int(m.group("nat"))))
-            elif m.group("gen") is not None:
-                tokens.append(("gen", int(m.group("gen")[1:])))
-            else:
-                tokens.append((m.group("punct"), None))
-            pos = m.end()
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of element text")
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self):
-        out: list = []
-        self._element(out)
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input in element text {self.text!r}")
-        return out
-
-    def _element(self, out):
-        # iterative, so nesting depth is bounded by memory, not the stack
-        open_tuples = []  # components read so far, one count per open "("
-        while True:
-            while self._peek() == "(":
-                self._next()
-                open_tuples.append(0)
-            out.append(self._comb_or_int())
-            while open_tuples:  # a component just ended: its tuple goes on or closes
-                open_tuples[-1] += 1
-                if self._peek() == ",":
-                    self._next()
-                    break
-                kind, _ = self._next()
-                if kind != ")":
-                    raise ParseError("expected ')' in element text")
-                if open_tuples.pop() < 2:
-                    raise ParseError("a tuple needs at least two components")
-            else:
-                return
-
-    def _comb_or_int(self):
-        sign = 1
-        if self._peek() == "-":
-            self._next()
-            sign = -1
-        kind, value = self._next()
-        if kind == "nat":
-            if self._peek() == "*":
-                self._next()
-                terms = [(sign * value, self._generator())]
-            else:
-                if self._peek() in ("+", "-"):
+    out: list = []
+    # iterative, so nesting depth is bounded by memory, not the stack
+    open_tuples = []  # components read so far, one count per open "("
+    i = 0
+    while True:
+        while tokens[i][0] == "(":
+            open_tuples.append(0)
+            i += 1
+        terms = []
+        while True:  # one term a round; only the first may be a bare integer
+            sign = -1 if tokens[i][0] == "-" else 1
+            if terms or sign == -1:  # a later term always starts with its sign
+                i += 1
+            kind, value = tokens[i]
+            coefficient = sign
+            if kind == "nat" and tokens[i + 1][0] == "*":
+                coefficient *= value
+                i += 2
+                kind, value = tokens[i]
+                if kind != "gen":
+                    raise ParseError(_END if kind is None else "expected a generator after '*'")
+            if kind == "gen":
+                terms.append((coefficient, value))
+                i += 1
+            elif kind == "nat":
+                after = tokens[i + 1][0]
+                if terms:
+                    raise ParseError(
+                        _END if after is None else "a combination term needs an 'x' generator"
+                    )
+                if after in ("+", "-"):
                     raise ParseError("a bare integer cannot start a combination")
-                return ("int", sign * value)
-        elif kind == "gen":
-            terms = [(sign, value)]
-        else:
-            raise ParseError("expected a term or an integer")
-        while self._peek() in ("+", "-"):
-            term_sign = 1 if self._next()[0] == "+" else -1
-            kind, value = self._next()
-            if kind == "nat":
-                kind2, _ = self._next()
-                if kind2 != "*":
-                    raise ParseError("a combination term needs an 'x' generator")
-                terms.append((term_sign * value, self._generator()))
-            elif kind == "gen":
-                terms.append((term_sign, value))
+                out.append(("int", sign * value))
+                i += 1
+                break
+            elif terms:
+                raise ParseError(_END if kind is None else "expected a term after '+'/'-'")
             else:
-                raise ParseError("expected a term after '+'/'-'")
-        return ("comb", terms)
-
-    def _generator(self):
-        kind, value = self._next()
-        if kind != "gen":
-            raise ParseError("expected a generator after '*'")
-        return value
+                raise ParseError(_END if kind is None else "expected a term or an integer")
+            if tokens[i][0] not in ("+", "-"):
+                out.append(("comb", terms))
+                break
+        while open_tuples:  # a component just ended: its tuple goes on or closes
+            open_tuples[-1] += 1
+            kind = tokens[i][0]
+            i += 1
+            if kind == ",":
+                break
+            if kind != ")":
+                raise ParseError(_END if kind is None else "expected ')' in element text")
+            if open_tuples.pop() < 2:
+                raise ParseError("a tuple needs at least two components")
+        else:
+            if tokens[i][0] is not None:
+                raise ParseError(f"trailing input in element text {text!r}")
+            return out

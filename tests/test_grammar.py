@@ -1,6 +1,8 @@
 """Element text: printing, parsing, and the round trip."""
 
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -19,6 +21,8 @@ from effhom import (
     parse_element,
 )
 from effhom.cli import main
+from effhom.instances import HOMOTOPIES, resolve_complex
+from effhom.reduction import check_contracting
 from effhom.sampling import Sampler
 
 CONE_SHAPE = DirectSum(DirectSum(Z, COUNTABLE), Z)
@@ -107,6 +111,10 @@ PARSE_MESSAGES = [
     ("3*4", "expected a generator after '*'"),
     ("x1+)", "expected a term after '+'/'-'"),
     ("y", "unexpected character 'y'"),
+    ("5 7", "trailing input in element text '5 7'"),
+    ("x3+", "unexpected end of element text"),
+    ("5+x3", "a bare integer cannot start a combination"),
+    ("**", "expected a term or an integer"),
 ] + [
     # the tokenizer reads "x" and ASCII digits as one generator token
     (bad, "a generator needs an ASCII index after 'x'")
@@ -125,6 +133,71 @@ def test_syntax_error_messages(bad, message):
 def test_generator_without_index_exits_2(bad, capsys):
     assert main(["eval", "cc2", "diff", "0", bad]) == 2
     assert capsys.readouterr().err == "error: a generator needs an ASCII index after 'x'\n"
+
+
+class TestPastTheDigitLimit:
+    """Integers longer than the interpreter's 4,300-digit int <-> str limit."""
+
+    def test_long_coefficient_and_index_round_trip(self):
+        sevens, threes = (10**5000 - 1) // 9 * 7, (10**4500 - 1) // 3
+        text = "-" + "7" * 5000 + "*x" + "3" * 4500
+        e = Comb(((threes, -sevens),))
+        assert parse_element(text, COUNTABLE) == e
+        assert format_element(e, COUNTABLE) == text
+
+    def test_long_bare_integer_round_trips(self):
+        ones = (10**4301 - 1) // 9
+        assert parse_element("1" * 4301, Z) == Comb(((0, ones),))
+        assert format_element(Comb(((0, 10**4301),)), Z) == "1" + "0" * 4301
+
+    def test_long_index_is_named_in_membership_error(self):
+        with pytest.raises(MembershipError, match="^generator x3{4500} is not valid for Z$"):
+            parse_element("x" + "3" * 4500, Z)
+
+    def test_law_report_formats_long_coefficients(self):
+        h, cc = HOMOTOPIES["h1"][1](), resolve_complex("cone-example.bottom")
+        sampler = Sampler(samples=4, coeff_bound=10**4301)
+        assert check_contracting(cc, h, range(0, 1), sampler).violations == 4
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit"
+    )
+    def test_limit_is_restored(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_element("5" * 5000, Z) == Comb(((0, (10**5000 - 1) // 9 * 5),))
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ParseError, match="unexpected character 'y'"):
+            parse_element("5" * 5000 + " y", Z)
+        assert sys.get_int_max_str_digits() == limit
+        format_element(Comb(((0, 10**5000),)), Z)
+        assert sys.get_int_max_str_digits() == limit
+
+
+#: Pieces of the seeded corpus: every token kind, bad characters and space.
+CORPUS_PIECES = [
+    "(", ")", ",", "+", "-", "*", "x", "x0", "x1", "x3", "x12",
+    "0", "3", "5", "12", "y", "\u0661", "((", "))", " ",
+]
+
+
+def test_seeded_corpus_outcomes_are_pinned():
+    # the value or the error of every parse, in order: a change of any value,
+    # message or of the order in which errors are found changes the digest
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    parsed = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(CORPUS_PIECES, k=rng.randint(1, 7)))
+        for desc in (COUNTABLE, Z, DirectSum(Z, COUNTABLE)):
+            try:
+                outcome = repr(parse_element(text, desc))
+                parsed += 1
+            except (ParseError, MembershipError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            digest.update(f"{text!r} {desc} {outcome}\n".encode())
+    assert (parsed, digest.hexdigest()) == (
+        2173, "d940365e4620c5823889aacb0e5bc7bc6f12049bd8ac87f16276c5160fd1d107"
+    )
 
 
 def random_desc(rng, depth=0):

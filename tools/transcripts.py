@@ -5,14 +5,18 @@
     python3 tools/transcripts.py --dump DIR # also write every transcript under DIR
 
 A transcript is the exit code, stdout and stderr of one ``effhom`` command,
-run in this process through ``effhom.cli.main``.  There are two families:
+run in this process through ``effhom.cli.main``.  There are three families:
 
 - ``check``: the 19 law checks the catalog offers (nilpotency of every
   instance, chain-morphism and reduction of each effective homology, and
   contracting for each homotopy) x seeds 0, 1, 7 and 42 x five sampler
   settings x text and json, 760 transcripts;
 - ``homology``: every instance of the catalog x five degree ranges x text
-  and json, 90 transcripts.
+  and json, 90 transcripts;
+- ``element``: ``eval <id> diff`` on every instance of the catalog, and
+  ``eval <home> h:<name>`` and ``preimage <home> ... --h <name>`` for every
+  homotopy, at degrees 0 and 1 x the 24 texts of ``TEXTS`` x text and json,
+  1,632 transcripts.
 
 The digest of a family hashes its transcripts in order.  A change that
 means to alter a transcript rewrites ``tools/transcripts.sha256`` with this
@@ -46,6 +50,16 @@ SETTINGS = (
 )
 RANGES = ("0..0", "-1..1", "-8..8", "-20..-15", "3..12")
 FORMATS = ("text", "json")
+DEGREES = ("0", "1")
+#: Accepted spellings for every module shape of the catalog (flat, nested,
+#: bare and signed integers), then one text for each ``ParseError`` message.
+TEXTS = (
+    "0", "-0", "12", "-10", "x3", "-x3+2*x0", "7*x4+8*x0-x1",
+    "(5, 7)", "(-2, 3*x1-x0)", "(5, 7*x4+8*x0, 3)", "((5, 7*x4+8*x0), 3)",
+    "(5, (-x1, -3))", "(0, 0, 0)",
+    "x1+xa", "5 y", "(5, x3+", "5 7", "(1 2)", "(5)", "5+x3", "**",
+    "x1+3x2", "x1+)", "3*4",
+)
 
 
 def laws() -> list[tuple[str, str]]:
@@ -72,7 +86,18 @@ def families() -> dict[str, list[list[str]]]:
         for span in RANGES
         for fmt in FORMATS
     ]
-    return {"check": check, "homology": homology}
+    # (argv before the degree, argv after the element text)
+    operators = [(["eval", entry.ident, "diff"], []) for entry in CATALOG.values()]
+    for name, (home, _, _) in HOMOTOPIES.items():
+        operators += [(["eval", home, f"h:{name}"], []), (["preimage", home], ["--h", name])]
+    element = [
+        [*head, degree, text, *tail, "--format", fmt]
+        for head, tail in operators
+        for degree in DEGREES
+        for text in TEXTS
+        for fmt in FORMATS
+    ]
+    return {"check": check, "homology": homology, "element": element}
 
 
 def transcript(argv: list[str]) -> str:
