@@ -9,6 +9,10 @@
 Exit codes: 0 success, 1 mathematical failure (law violations, not a
 cycle, failed verification), 2 usage errors (bad syntax, membership,
 infinite type).
+
+One writer prints every result but a streamed law report, as text or JSON;
+one helper turns an unknown catalog name into a usage error.  Each call runs
+through ``modules._unlimited``, so integers of any length go in and out.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .instances import (
     resolve_homotopy,
 )
 from .laws import LawReport
+from .modules import _unlimited
 from .reduction import DEFAULT_DEGREES, check_contracting, check_reduction_laws, preimage
 from .sampling import Sampler
 
@@ -137,30 +142,28 @@ def _sampler(args) -> Sampler:
         raise UsageError(f"{_SAMPLER_OPTIONS[name]} {bound}") from None
 
 
-def _complex(ident: str):
+def _lookup(resolve, key: str, message: str):
+    """``resolve(key)`` from the catalog; its ``KeyError`` is ``UsageError(message)``."""
     try:
-        return resolve_complex(ident)
+        return resolve(key)
     except KeyError:
-        raise UsageError(f"unknown instance {ident!r}; try `effhom list`") from None
+        raise UsageError(message) from None
+
+
+def _complex(ident: str):
+    return _lookup(resolve_complex, ident, f"unknown instance {ident!r}; try `effhom list`")
 
 
 def _homotopy(name: str, cc):
-    try:
-        home, h = resolve_homotopy(name)
-    except KeyError:
-        raise UsageError(f"unknown homotopy {name!r}; try `effhom list`") from None
+    home, h = _lookup(resolve_homotopy, name, f"unknown homotopy {name!r}; try `effhom list`")
     if h.over is not cc:
         raise UsageError(f"homotopy {name!r} lives over {home!r}, not this instance")
     return h
 
 
 def _reduction(ident: str, law: str):
-    try:
-        return resolve_effective_homology(ident).reduction
-    except KeyError:
-        raise UsageError(
-            f"{law} checks apply to effective-homology instances"
-        ) from None
+    message = f"{law} checks apply to effective-homology instances"
+    return _lookup(resolve_effective_homology, ident, message).reduction
 
 
 def _emit_report(report: LawReport, args) -> int:
@@ -170,37 +173,29 @@ def _emit_report(report: LawReport, args) -> int:
     return 0 if report.ok else 1
 
 
-def _emit_element(text: str, args) -> int:
+def _emit(args, lines, data, indent=None) -> int:
+    """Print ``lines``, or under ``--format json`` the JSON text of ``data``."""
     if args.format == "json":
-        print(json.dumps({"result": text}))
+        print(json.dumps(data, indent=indent))
     else:
-        print(text)
+        for line in lines:
+            print(line)
     return 0
 
 
 def cmd_list(args) -> int:
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "instances": [
-                        {"id": e.ident, "kind": e.kind, "summary": e.summary}
-                        for e in CATALOG.values()
-                    ],
-                    "homotopies": [
-                        {"id": name, "over": home, "summary": summary}
-                        for name, (home, _, summary) in HOMOTOPIES.items()
-                    ],
-                },
-                indent=2,
-            )
-        )
-        return 0
-    for entry in CATALOG.values():
-        print(f"{entry.ident:<22} {entry.kind:<20} {entry.summary}")
-    for name, (home, _, summary) in HOMOTOPIES.items():
-        print(f"{name:<22} {'homotopy':<20} {summary} (over {home})")
-    return 0
+    instances = [
+        {"id": e.ident, "kind": e.kind, "summary": e.summary} for e in CATALOG.values()
+    ]
+    homotopies = [
+        {"id": name, "over": home, "summary": summary}
+        for name, (home, _, summary) in HOMOTOPIES.items()
+    ]
+    lines = [f"{e['id']:<22} {e['kind']:<20} {e['summary']}" for e in instances]
+    lines += [
+        f"{h['id']:<22} {'homotopy':<20} {h['summary']} (over {h['over']})" for h in homotopies
+    ]
+    return _emit(args, lines, {"instances": instances, "homotopies": homotopies}, indent=2)
 
 
 def cmd_eval(args) -> int:
@@ -213,8 +208,8 @@ def cmd_eval(args) -> int:
     else:
         raise UsageError(f"operator must be 'diff' or 'h:NAME', got {args.operator!r}")
     element = parse_element(args.element, morphism.source)
-    image = morphism(element)
-    return _emit_element(format_element(image, morphism.target), args)
+    text = format_element(morphism(element), morphism.target)
+    return _emit(args, [text], {"result": text})
 
 
 def cmd_check(args) -> int:
@@ -253,29 +248,19 @@ def cmd_preimage(args) -> int:
     source = cc.module_at(args.index)
     element = parse_element(args.element, source)
     z = preimage(cc, h, args.index, element)
-    return _emit_element(format_element(z, cc.module_at(args.index + 1)), args)
+    text = format_element(z, cc.module_at(args.index + 1))
+    return _emit(args, [text], {"result": text})
 
 
 def cmd_homology(args) -> int:
     degrees = _parse_range(args.range)
-    try:
-        eh = resolve_effective_homology(args.instance)
+    try:  # the homology of a reduction's top is the homology of its bottom
+        cc = resolve_effective_homology(args.instance).reduction.bottom
     except KeyError:
-        eh = None
-    # the homology of a reduction's top is the homology of its bottom
-    cc = eh.reduction.bottom if eh is not None else _complex(args.instance)
-    groups = zip(degrees, homology_window(cc, degrees))
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"groups": [{"degree": i, "group": str(g)} for i, g in groups]},
-                indent=2,
-            )
-        )
-    else:
-        for i, g in groups:
-            print(f"H_{i} = {g}")
-    return 0
+        cc = _complex(args.instance)
+    groups = [(i, str(g)) for i, g in zip(degrees, homology_window(cc, degrees))]
+    data = {"groups": [{"degree": i, "group": g} for i, g in groups]}
+    return _emit(args, (f"H_{i} = {g}" for i, g in groups), data, indent=2)
 
 
 @cache
@@ -331,13 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Integers are exact at every size, so lift the int <-> str digit limit
-    # for this call only; Python 3.10.0-3.10.6 has neither limit nor setter.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # Integers are exact at every size, so the int <-> str digit limit is
+    # lifted for this call only.
     try:
-        code = _run(sys.argv[1:] if argv is None else argv)
+        code = _unlimited(_run, sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -347,9 +329,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def _run(argv) -> int:

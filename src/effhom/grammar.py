@@ -16,18 +16,17 @@ are matched in order against the module's leaves (``modules.leaves``), so flat
 and nested spellings are both accepted as long as the leaves line up.  One
 term reader reads every term of a combination; only the first may be a
 bare integer.  Integers have no size limit here: a conversion past the
-interpreter's int <-> str digit limit is done again with the limit lifted,
-and the limit is restored.
+interpreter's int <-> str digit limit is done again through
+``modules._unlimited``, which lifts the limit and restores it.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 
 from .errors import MembershipError, ParseError
 from .modules import (
-    Comb, Element, FreeModule, Z, _comb_text, join, leaves, normalize, split
+    Comb, Element, FreeModule, Z, _comb_text, _unlimited, join, leaves, normalize, split
 )
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>[0-9]+)|(?P<gen>x[0-9]+)|(?P<punct>[(),+*-]))")
@@ -37,8 +36,7 @@ _END = "unexpected end of element text"
 def format_element(element: Element, desc: FreeModule) -> str:
     """Canonical text of ``element`` as a member of ``desc``.
 
-    Integers of any size are written out; the ``repr`` of such an element
-    still follows the interpreter's digit limit.
+    Integers of any size are written out, as they are by the element's ``repr``.
     """
     pieces = []
     try:
@@ -68,16 +66,6 @@ def parse_element(text: str, desc: FreeModule) -> Element:
         return join(desc, map(_leaf_value, shape, flat))
     except ValueError:  # an integer past the int <-> str digit limit
         return _unlimited(parse_element, text, desc)
-
-
-def _unlimited(convert, *args):
-    """``convert(*args)`` with the int <-> str digit limit lifted, then restored."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(*args)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _leaf_value(leaf: FreeModule, node) -> Comb:

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .complexes import ChainComplex
 from .errors import HomAlgError, NotFiniteTypeError
-from .modules import Element, FiniteFree, FreeModule, basis, leaves, split
+from .modules import Element, FiniteFree, FreeModule, _unlimited, basis, leaves, split
 from .reduction import EffectiveHomology
 from .snf import IntMatrix, _sparse_invariant_factors
 
@@ -74,7 +74,10 @@ class HomologyGroup:
             parts.append("Z")
         elif self.betti_rank > 1:
             parts.append(f"Z^{self.betti_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
+        try:
+            parts.extend(f"Z/{t}" for t in self.torsion)
+        except ValueError:  # a torsion entry past the int <-> str digit limit
+            return _unlimited(str, self)
         return " + ".join(parts)
 
 

@@ -23,6 +23,10 @@ summand), left to right: ``(Z (+) Z[N]) (+) Z`` has leaves Z, Z[N], Z.
 ``leaves``, ``split`` and ``join`` are the one walk of that shape, and
 ``basis`` builds the basis elements x0 .. x{n-1} of each leaf on it.
 
+Integers have no size limit in text either: ``_unlimited``, the one lift
+of the int <-> str digit limit, runs a call past it and restores it.  Text
+and messages retry through it after a conversion fails; the CLI always runs.
+
 >>> e = normalize([(7, 4), (8, 0)], COUNTABLE)
 >>> e
 8*x0+7*x4
@@ -34,10 +38,24 @@ summand), left to right: ``(Z (+) Z[N]) (+) Z`` has leaves Z, Z[N], Z.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MembershipError
+
+
+def _unlimited(convert, *args):
+    """``convert(*args)`` with the int <-> str digit limit lifted, then restored."""
+    # Python 3.10.0-3.10.6 has neither the limit nor its setter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class FreeModule:
@@ -246,7 +264,10 @@ class Comb(Element):
         return Comb._canonical(tuple(merged))
 
     def __repr__(self):
-        return _comb_text(self.terms)
+        try:
+            return _comb_text(self.terms)
+        except ValueError:  # an integer past the int <-> str digit limit
+            return _unlimited(_comb_text, self.terms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +319,8 @@ def normalize(raw_terms: Iterable[tuple[int, int]], desc: FreeModule) -> Comb:
     acc: dict[int, int] = {}
     for c, g in raw_terms:
         if g < 0 or (isinstance(desc, FiniteFree) and g >= desc.rank):
-            raise MembershipError(f"generator x{g} is not valid for {desc}")
+            message = "generator x{} is not valid for {}".format
+            raise MembershipError(_unlimited(message, g, desc))
         acc[g] = acc.get(g, 0) + c
     return Comb._canonical(tuple((g, acc[g]) for g in sorted(acc) if acc[g]))
 

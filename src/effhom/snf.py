@@ -98,12 +98,13 @@ class SNFResult:
 
 def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     m, n = matrix.rows, matrix.cols
-    # [[A, I_m], [I_n, 0]]: row operations on A reach U in the top right,
-    # column operations on A reach V in the bottom left.
+    # [[A, I_m], [I_n]]: row operations on A reach U in the top right,
+    # column operations on A reach V in the bottom left.  They touch only
+    # rows < m and columns < n, so a bottom right block would go unread.
     bordered = [
         list(matrix.row(i)) + [int(i == k) for k in range(m)] for i in range(m)
     ]
-    bordered.extend([int(i == j) for j in range(n)] + [0] * m for i in range(n))
+    bordered.extend([int(i == j) for j in range(n)] for i in range(n))
     factors = _diagonalize(bordered, m, n)
     return SNFResult(
         U=IntMatrix.from_rows((row[n:] for row in bordered[:m]), m, m),

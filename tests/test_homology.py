@@ -16,6 +16,7 @@ Expected groups are frozen from hand kernel/image computations:
 
 import random
 import re
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -262,6 +263,12 @@ class TestKnownAnswers:
         assert groups(rp2, range(-1, 4)) == [
             TRIVIAL, HomologyGroup(1), Z_MOD_2, TRIVIAL, TRIVIAL,
         ]
+
+    def test_torsion_past_the_digit_limit_is_written_out(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        cc = finite_complex([1, 1], [[[10**5000]]])
+        assert str(homology_at(cc, 0)) == "Z/1" + "0" * 5000
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_diagonal_torsion(self):
         cc = finite_complex([2, 2], [[[2, 0], [0, 6]]])

@@ -1,6 +1,7 @@
 """Canonical elements and the module-level algebra."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from effhom import (
     Sampler,
     from_generator_images,
     generator,
+    identity,
     normalize,
     scaling,
 )
@@ -63,6 +65,36 @@ class TestDescriptors:
         assert Z.zero() == comb()
         assert ZZ.zero() == Pair(comb(), comb())
         assert ZZ.zero().is_zero()
+
+
+#: A coefficient and generator index past the interpreter's 4,300-digit
+#: int <-> str limit, and its text.
+HUGE, HUGE_TEXT = 10**4400, "1" + "0" * 4400
+#: The digit limit now: None where the interpreter has none.
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+class TestPastTheDigitLimit:
+    """Text and messages of elements with integers past the digit limit."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Z.require(comb((1, HUGE))), f"{HUGE_TEXT}*x1 is not a member of Z"),
+        (lambda: identity(Z)(comb((1, HUGE))), f"{HUGE_TEXT}*x1 is not a member of Z"),
+        (lambda: ZZ.require(comb((1, HUGE))), f"{HUGE_TEXT}*x1 is not a member of (Z (+) Z)"),
+        (lambda: split(comb((1, HUGE)), ZZ), f"{HUGE_TEXT}*x1 is not a member of (Z (+) Z)"),
+        (lambda: normalize([(1, HUGE)], Z), f"generator x{HUGE_TEXT} is not valid for Z"),
+    ], ids=["require", "identity", "sum-require", "split", "normalize"])
+    def test_membership_message_writes_the_integer(self, call, message):
+        limit = digit_limit()
+        with pytest.raises(MembershipError) as info:
+            call()
+        assert str(info.value) == message
+        assert digit_limit() == limit
+
+    def test_repr_writes_the_integer(self):
+        limit = digit_limit()
+        assert repr(Pair(comb((0, -HUGE)), comb())) == f"(-{HUGE_TEXT}*x0, 0)"
+        assert digit_limit() == limit
 
 
 class TestNormalize:

@@ -117,6 +117,21 @@ class TestGoldens:
         a = IntMatrix.from_rows([[2, 4], [1, 2]])
         assert assert_snf_contract(a).invariant_factors == (1,)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 0], [0, 0], [0, 0]],
+        [[1, 0], [0, 1]],
+        [[2, 0, 0], [0, 2, 0]],
+        [[1, 0], [0, 6], [0, 0]],
+    ])
+    def test_a_smith_form_takes_no_operation(self, rows):
+        # already diagonal, non-negative and a divisibility chain: the first
+        # smallest entry is each pivot in place, so the transforms are identities
+        a = IntMatrix.from_rows(rows)
+        result = assert_snf_contract(a)
+        assert (result.U, result.D, result.V) == (
+            IntMatrix.identity(a.rows), a, IntMatrix.identity(a.cols)
+        )
+
     def test_empty_shapes(self):
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
             result = assert_snf_contract(IntMatrix.zeros(rows, cols))

@@ -5,7 +5,7 @@
     python3 tools/transcripts.py --dump DIR # also write every transcript under DIR
 
 A transcript is the exit code, stdout and stderr of one ``effhom`` command,
-run in this process through ``effhom.cli.main``.  There are three families:
+run in this process through ``effhom.cli.main``.  There are four families:
 
 - ``check``: the 19 law checks the catalog offers (nilpotency of every
   instance, chain-morphism and reduction of each effective homology, and
@@ -16,7 +16,12 @@ run in this process through ``effhom.cli.main``.  There are three families:
 - ``element``: ``eval <id> diff`` on every instance of the catalog, and
   ``eval <home> h:<name>`` and ``preimage <home> ... --h <name>`` for every
   homotopy, at degrees 0 and 1 x the 24 texts of ``TEXTS`` x text and json,
-  1,632 transcripts.
+  1,632 transcripts;
+- ``cli``: ``list``, and each catalog lookup the CLI can refuse (an unknown
+  instance for every subcommand that takes one, an unknown homotopy and a
+  homotopy over another instance for each way of naming one, a law that
+  needs an effective homology on a plain complex, a bad ``eval`` operator
+  and a bad law name) x text and json, 40 transcripts.
 
 The digest of a family hashes its transcripts in order.  A change that
 means to alter a transcript rewrites ``tools/transcripts.sha256`` with this
@@ -60,6 +65,29 @@ TEXTS = (
     "x1+xa", "5 y", "(5, x3+", "5 7", "(1 2)", "(5)", "5+x3", "**",
     "x1+3x2", "x1+)", "3*4",
 )
+#: ``list``, then one command for each way a catalog lookup is refused.
+CLI = (
+    ["list"],
+    ["eval", "nosuch", "diff", "0", "0"],
+    ["check", "nosuch", "nilpotency"],
+    ["check", "nosuch", "contracting:hcc2"],
+    ["check", "nosuch", "chain-morphism"],
+    ["preimage", "nosuch", "0", "0", "--h", "hcc2"],
+    ["homology", "nosuch", "0..0"],
+    ["eval", "cc2", "h:nosuch", "0", "0"],
+    ["check", "cc2", "contracting:nosuch"],
+    ["preimage", "cc2", "0", "0", "--h", "nosuch"],
+    ["eval", "cc1", "h:hcc2", "0", "0"],
+    ["check", "cc1", "contracting:htop"],
+    ["preimage", "cc2", "0", "0", "--h", "h1"],
+    ["check", "cc1", "chain-morphism"],
+    ["check", "cc1", "reduction"],
+    ["check", "cone-example.bottom", "reduction"],
+    ["eval", "cc1", "d", "0", "0"],
+    ["eval", "cc1", "h", "0", "0"],
+    ["check", "cc1", "nosuch"],
+    ["check", "cc1", "contracting"],
+)
 
 
 def laws() -> list[tuple[str, str]]:
@@ -97,7 +125,8 @@ def families() -> dict[str, list[list[str]]]:
         for text in TEXTS
         for fmt in FORMATS
     ]
-    return {"check": check, "homology": homology, "element": element}
+    commands = [[*command, "--format", fmt] for command in CLI for fmt in FORMATS]
+    return {"check": check, "homology": homology, "element": element, "cli": commands}
 
 
 def transcript(argv: list[str]) -> str:
