@@ -11,8 +11,10 @@ cycle, failed verification), 2 usage errors (bad syntax, membership,
 infinite type).
 
 One writer prints every result but a streamed law report, as text or JSON;
-one helper turns an unknown catalog name into a usage error.  Each call runs
-through ``modules._unlimited``, so integers of any length go in and out.
+one helper turns an unknown catalog name into a usage error; ``eval`` and
+``preimage`` share one element path, from the source of the map they apply
+to its target.  Each call runs through ``modules._unlimited``, so integers
+of any length go in and out.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import re
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .complexes import check_chain_morphism, check_nilpotency
 from .errors import (
@@ -92,29 +94,19 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     Degree ranges like ``-8..8`` and negative indices would otherwise be
     mistaken for option names by argparse.
     """
-    if not argv:
-        return argv
-    head, options, positionals = [argv[0]], [], []
-    i = 1
-    while i < len(argv):
-        token = argv[i]
+    tokens = iter(argv[1:])
+    options, positionals = argv[:1], []
+    for token in tokens:
         if token == "--":
-            positionals.extend(argv[i + 1 :])
-            break
-        if token in ("-h", "--help"):
+            positionals.extend(tokens)
+        elif token in _VALUE_OPTIONS:  # takes the next token, if there is one
+            value = next(tokens, None)
+            options.append(token if value is None else f"{token}={value}")
+        elif token == "-h" or token.startswith("--"):
             options.append(token)
-        elif token.startswith("--"):
-            if "=" in token or token not in _VALUE_OPTIONS or i + 1 >= len(argv):
-                options.append(token)
-            else:
-                options.append(f"{token}={argv[i + 1]}")
-                i += 1
         else:
             positionals.append(token)
-        i += 1
-    if not positionals:
-        return head + options
-    return head + options + ["--"] + positionals
+    return options + ["--"] + positionals if positionals else options
 
 
 def _parse_range(text: str) -> range:
@@ -183,6 +175,13 @@ def _emit(args, lines, data, indent=None) -> int:
     return 0
 
 
+def _emit_element(args, applied, compute) -> int:
+    """Print ``compute`` of ``args.element``, read in ``applied.source``, in ``applied.target``."""
+    element = parse_element(args.element, applied.source)
+    text = format_element(compute(element), applied.target)
+    return _emit(args, [text], {"result": text})
+
+
 def cmd_list(args) -> int:
     instances = [
         {"id": e.ident, "kind": e.kind, "summary": e.summary} for e in CATALOG.values()
@@ -203,13 +202,10 @@ def cmd_eval(args) -> int:
     if args.operator == "diff":
         morphism = cc.diff_at(args.index)
     elif args.operator.startswith("h:"):
-        h = _homotopy(args.operator[2:], cc)
-        morphism = h.at(args.index)
+        morphism = _homotopy(args.operator.partition(":")[2], cc).at(args.index)
     else:
         raise UsageError(f"operator must be 'diff' or 'h:NAME', got {args.operator!r}")
-    element = parse_element(args.element, morphism.source)
-    text = format_element(morphism(element), morphism.target)
-    return _emit(args, [text], {"result": text})
+    return _emit_element(args, morphism, morphism)
 
 
 def cmd_check(args) -> int:
@@ -233,7 +229,7 @@ def cmd_check(args) -> int:
         report = check_reduction_laws(r, degrees, sampler)
     elif law.startswith("contracting:"):
         cc = _complex(args.instance)
-        h = _homotopy(law.split(":", 1)[1], cc)
+        h = _homotopy(law.partition(":")[2], cc)
         report = check_contracting(cc, h, degrees, sampler)
     else:
         raise UsageError(
@@ -245,11 +241,7 @@ def cmd_check(args) -> int:
 def cmd_preimage(args) -> int:
     cc = _complex(args.instance)
     h = _homotopy(args.h, cc)
-    source = cc.module_at(args.index)
-    element = parse_element(args.element, source)
-    z = preimage(cc, h, args.index, element)
-    text = format_element(z, cc.module_at(args.index + 1))
-    return _emit(args, [text], {"result": text})
+    return _emit_element(args, h.at(args.index), partial(preimage, cc, h, args.index))
 
 
 def cmd_homology(args) -> int:
@@ -336,7 +328,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(_normalize_argv(list(argv)))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.handler(args)
     except (UsageError, ParseError, MembershipError, ShapeMismatchError,

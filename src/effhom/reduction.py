@@ -202,8 +202,7 @@ def is_cycle(cc: ChainComplex, i: int, x: Element) -> bool:
 
     ``x`` must live in degree ``i + 1``, the domain of ``diff_at(i)``.
     """
-    d = cc.diff_at(i)
-    return d(x) == cc.module_at(i).zero()
+    return cc.diff_at(i)(x).is_zero()
 
 
 def preimage(cc: ChainComplex, h: HomotopyOperator, i: int, x: Element) -> Element:
@@ -214,11 +213,11 @@ def preimage(cc: ChainComplex, h: HomotopyOperator, i: int, x: Element) -> Eleme
     and a ``PreimageVerificationError`` reports both z and d(z).
     """
     _require_over(cc, h)
-    boundary = cc.diff_at(i - 1)(x)
-    if boundary != cc.module_at(i - 1).zero():
+    d = cc.diff_at(i - 1)
+    boundary = d(x)
+    if not boundary.is_zero():
         raise NotACycleError(
-            f"element at degree {i} has nonzero boundary "
-            f"{format_element(boundary, cc.module_at(i - 1))}",
+            f"element at degree {i} has nonzero boundary {format_element(boundary, d.target)}",
             boundary,
         )
     z = h.at(i)(x)

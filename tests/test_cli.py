@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -592,6 +593,12 @@ class TestUsageErrors:
                 "operator must be 'diff' or 'h:NAME', got 'bogus'",
             ),
             (("homology", "fcc1", "0-3"), "expected a degree range like -8..8, got '0-3'"),
+            # a homotopy's name is all the text after the first colon
+            *(
+                (argv, "unknown homotopy 'hcc2:x'; try `effhom list`")
+                for argv in (("check", "cc2", "contracting:hcc2:x"),
+                             ("eval", "cc2", "h:hcc2:x", "0", "x1"))
+            ),
         ],
     )
     def test_one_line_error_without_traceback(self, capsys, argv, message):
@@ -624,6 +631,7 @@ class TestList:
         data = json.loads(out)
         assert {e["id"] for e in data["instances"]} >= {"cc1", "cone-example"}
         assert {h["id"] for h in data["homotopies"]} == {"hcc2", "h1", "h2", "htop"}
+        assert out == json.dumps(data, indent=2) + "\n"
 
 
 class TestSharedParser:
@@ -669,6 +677,43 @@ class TestArgvForms:
         assert run_cli(capsys, "eval", "cc2", "diff", "--", "0", "-x1+x2") == (
             0, "x2\n", ""
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "cc1", "nilpotency", "--seed"),
+            ("check", "cc1", "nilpotency", "--degrees"),
+            ("eval", "cc2", "diff", "0", "x1", "--format"),
+            ("preimage", "cc2", "0", "x1", "--h"),
+        ],
+        ids=["--seed", "--degrees", "--format", "--h"],
+    )
+    def test_valued_option_as_the_last_token_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {argv[-1]}: expected one argument\n")
+        assert "Traceback" not in err
+
+
+#: Tokens of the seeded argv corpus: subcommands, valued and unknown options,
+#: help, the fence, a merged option, a range, signed numbers and elements.
+ARGV_PIECES = [
+    "check", "eval", "--seed", "--degrees", "--format", "--h", "--samples", "--help",
+    "-h", "--", "--seed=3", "-8..8", "x0", "-x3", "5", "-2", "--nosuch", "json",
+]
+
+
+def test_seeded_argv_corpus_normalizes_as_pinned():
+    # every argv list and its normalized form, in order: a valued option at
+    # the end, a fence anywhere and an option after the fence all appear
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        argv = rng.choices(ARGV_PIECES, k=rng.randint(0, 8))
+        digest.update(f"{argv} {cli._normalize_argv(argv)}\n".encode())
+    assert digest.hexdigest() == (
+        "11a7e46ef806dd2089eb99edb38fd035a20e3818c2d1f70d4eb1a4cf75d25f67"
+    )
 
 
 def test_module_entry_point_subprocess():

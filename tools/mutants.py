@@ -11,12 +11,14 @@ A mutant changes one operator of one module:
 - an integer constant 0, 1 or 2 is raised by one.
 
 The repository is copied into a scratch directory (``--workdir``, or a new
-temporary one), each mutant is written there over its module with
-``ast.unparse``, and tier-1 runs on the copy with ``-x``, the module's own
-test file first.  Hypothesis runs without shrinking and without its example
-database there, so a killed mutant fails fast and leaves nothing behind.
-A mutant that passes tier-1 survives.  The unmutated ``ast.unparse`` of each
-module must pass first.
+temporary one), and each mutant is written there over its module with
+``ast.unparse``.  The module's own test file runs on the copy first, alone,
+within max(20 s, 5x its unmutated time), so a mutant that loops is cut off
+early.  A mutant that passes it goes on to the whole of tier-1, within
+max(60 s, 5x the unmutated tier-1).  Both run with ``-x``, and Hypothesis
+runs without shrinking and without its example database, so a killed mutant
+fails fast and leaves nothing behind.  A mutant that passes tier-1 survives.
+The unmutated ``ast.unparse`` of each module must pass both first.
 
 A mutant is named ``<module>::<function>: <change> #<k>``, with ``k``
 counting the same change in the same function, so names outlive edits
@@ -154,9 +156,8 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def tier1(workdir: Path, first: Path, timeout: float) -> str:
-    """``passed``, ``failed`` or ``timeout`` for tier-1 on the copy."""
-    tests = ["tests"] if not (workdir / first).exists() else [str(first), "tests"]
+def tier1(workdir: Path, tests: list[str], timeout: float) -> str:
+    """``passed``, ``failed`` or ``timeout`` for the ``tests`` paths on the copy."""
     argv = [sys.executable, "-c", RUNNER, "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
@@ -184,17 +185,24 @@ def main(argv=None) -> int:
         for module in args.modules:
             relative = module.resolve().relative_to(ROOT)
             target, source = copy / relative, (ROOT / relative).read_text()
-            first = Path("tests") / f"test_{relative.stem}.py"
+            own = Path("tests") / f"test_{relative.stem}.py"
+            stages = [(["tests"], 60.0)]  # (test paths, least time limit)
+            if (copy / own).exists():
+                stages.insert(0, ([str(own)], 20.0))
             target.write_text(ast.unparse(ast.parse(source)))
-            began = time.perf_counter()
-            if tier1(copy, first, timeout=1800) != "passed":
-                print(f"{relative}: tier-1 fails on the unmutated ast.unparse")
-                return 1
-            timeout = max(60.0, 5 * (time.perf_counter() - began))
+            limits = []
+            for tests, floor in stages:
+                began = time.perf_counter()
+                if tier1(copy, tests, timeout=1800) != "passed":
+                    print(f"{relative}: {tests[0]} fails on the unmutated ast.unparse")
+                    return 1
+                limits.append((tests, max(floor, 5 * (time.perf_counter() - began))))
             for name, mutated in mutants(source):
                 total += 1
                 target.write_text(mutated)
-                verdict = tier1(copy, first, timeout)
+                for tests, limit in limits:
+                    if (verdict := tier1(copy, tests, limit)) != "passed":
+                        break
                 full = f"{relative}::{name}"
                 if verdict == "passed":
                     survivors.append(full)
